@@ -13,13 +13,17 @@ impact of certain behaviors is quantified").
 
 from conftest import emit
 
+from repro import RunOptions
 from repro.analysis.experiments import ext_waitstate_accuracy
 from repro.analysis.reports import ascii_table
 
 
 def test_waitstate_accuracy(benchmark):
     result = benchmark.pedantic(
-        ext_waitstate_accuracy, kwargs=dict(seed=11), rounds=1, iterations=1
+        ext_waitstate_accuracy,
+        kwargs=dict(options=RunOptions(seed=11)),
+        rounds=1,
+        iterations=1,
     )
 
     rows = [("ground truth (global clock)", f"{result.truth_total * 1e3:.3f}", "-", "-")]

@@ -19,6 +19,7 @@ import os
 import pytest
 from conftest import emit
 
+from repro import RunOptions
 from repro.analysis.experiments import fig7_app_violations
 from repro.analysis.reports import ascii_table
 
@@ -34,7 +35,9 @@ POP_SCALE = float(os.environ.get("REPRO_FIG7_SCALE", "0.1"))
 def test_fig7_app(benchmark, app, scale):
     result = benchmark.pedantic(
         fig7_app_violations,
-        kwargs=dict(app=app, seed=1, runs=3, nprocs=32, scale=scale),
+        kwargs=dict(
+            app=app, runs=3, nprocs=32, scale=scale, options=RunOptions(seed=1)
+        ),
         rounds=1,
         iterations=1,
     )

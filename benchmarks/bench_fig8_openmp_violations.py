@@ -13,6 +13,7 @@ threads none at all."
 
 from conftest import emit
 
+from repro import RunOptions
 from repro.analysis.experiments import fig8_openmp_violations
 from repro.analysis.reports import ascii_table
 
@@ -22,7 +23,9 @@ PAPER_ANY = {4: 83.0, 8: None, 12: "very few", 16: 0.0}
 def test_fig8_openmp_violations(benchmark):
     result = benchmark.pedantic(
         fig8_openmp_violations,
-        kwargs=dict(threads=(4, 8, 12, 16), seed=2, runs=5, regions=200),
+        kwargs=dict(
+            threads=(4, 8, 12, 16), runs=5, regions=200, options=RunOptions(seed=2)
+        ),
         rounds=1,
         iterations=1,
     )

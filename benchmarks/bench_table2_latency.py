@@ -15,6 +15,7 @@ collective landing at 2-3x the inter-node message latency.
 
 from conftest import emit
 
+from repro import RunOptions
 from repro.analysis.experiments import table2_latencies
 from repro.analysis.reports import ascii_table, ci_cell
 
@@ -28,7 +29,8 @@ PAPER = {
 
 def test_table2_latencies(benchmark):
     result = benchmark.pedantic(
-        table2_latencies, kwargs=dict(seed=0, repeats=1000, coll_repeats=200),
+        table2_latencies,
+        kwargs=dict(repeats=1000, coll_repeats=200, options=RunOptions(seed=0)),
         rounds=1, iterations=1,
     )
     rows = []

@@ -17,13 +17,14 @@ Quick start
 >>> session = TracingSession(platform="xeon", nprocs=4, duration_hint=60.0,
 ...                          options=RunOptions(seed=7))
 >>> run = session.trace(sparse_worker(SparseConfig(rounds=5)))
->>> report = session.synchronize(run)
->>> report.stage("clc").total_violated
+>>> result = session.synchronize(run)
+>>> result.stage("clc").total_violated
 0
 
-Or skip the session machinery entirely — :func:`correct_trace` is the
-one-call facade over the whole correction chain (the same code path the
-CLI and the :mod:`repro.service` HTTP service execute)::
+``session.synchronize`` is :func:`correct_trace` with the session's
+latency floors.  Call it directly to skip the session machinery: it is
+the one-call facade over the whole correction chain (the same code path
+the CLI and the :mod:`repro.service` HTTP service execute)::
 
     from repro import correct_trace
     result = correct_trace("run.npz", interpolation="linear", clc=True)
@@ -37,7 +38,6 @@ table and figure in the paper.
 
 from repro.core.api import TracingSession
 from repro.core.correct import CorrectionResult, correct_trace
-from repro.core.pipeline import PipelineReport, SyncPipeline
 from repro.errors import ReproError
 from repro.mpi.runtime import RunResult
 from repro.options import RunOptions
@@ -45,14 +45,12 @@ from repro.service.client import ServiceClient
 from repro.stats import SampleSummary, StoppingRule
 from repro.telemetry import TelemetryRecorder
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CorrectionResult",
     "TracingSession",
     "ServiceClient",
-    "SyncPipeline",
-    "PipelineReport",
     "ReproError",
     "RunOptions",
     "RunResult",

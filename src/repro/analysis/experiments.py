@@ -25,7 +25,6 @@ from repro.analysis.latency import (
     measure_latency,
 )
 from repro.analysis.runner import derive_seed, run_grid
-from repro.cache import ResultCache
 from repro.cluster.jitter import OsJitterModel
 from repro.cluster.machines import (
     ClusterPreset,
@@ -44,7 +43,7 @@ from repro.cluster.pinning import (
 from repro.errors import ConfigurationError
 from repro.mpi.runtime import MpiWorld
 from repro.openmp.team import OmpTeamConfig, run_parallel_for_benchmark
-from repro.options import _UNSET, RunOptions, resolve_options
+from repro.options import RunOptions
 from repro.rng import RngFabric
 from repro.stats import DEFAULT_LEVEL, SampleSummary, StoppingRule, summarize
 from repro.sync.clc import ControlledLogicalClock
@@ -144,13 +143,9 @@ def _table2_row(
 
 
 def table2_latencies(
-    seed: int = _UNSET,
+    *,
     repeats: int = 1000,
     coll_repeats: int = 200,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    engine: str = _UNSET,
-    *,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     options: RunOptions | None = None,
@@ -167,14 +162,9 @@ def table2_latencies(
     :class:`~repro.stats.SampleSummary` (CI at ``level``, repetition
     counts); ``runs`` pools that many independent simulations per row,
     and ``options.stopping`` instead adds runs per row until the rule's
-    relative CI-width target is met (see ``docs/methodology.md``).  The
-    ``seed`` / ``jobs`` / ``cache`` / ``engine`` keywords are deprecated
-    shims.
+    relative CI-width target is met (see ``docs/methodology.md``).
     """
-    options = resolve_options(
-        options, caller="table2_latencies",
-        seed=seed, jobs=jobs, cache=cache, engine=engine,
-    )
+    options = options if options is not None else RunOptions()
     seed = options.resolved_seed(0)
     row = dict(seed=seed, repeats=repeats, engine=options.engine, runs=runs,
                level=level, stopping=options.stopping)
@@ -329,12 +319,9 @@ def fig4_timer_deviation(
 
 def fig4_all_panels(
     panels: tuple[str, ...] = ("a", "b", "c"),
-    seed: int = _UNSET,
+    *,
     nprocs: int = 4,
     probe_interval: float = 5.0,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    *,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     options: RunOptions | None = None,
@@ -350,12 +337,9 @@ def fig4_all_panels(
     :class:`~repro.stats.SampleSummary` of the peak aligned residual
     (CI at ``level``) to each returned
     :class:`DeviationResult.residual_summary`; the series shown remain
-    those of run 0.  The ``seed`` / ``jobs`` / ``cache`` keywords are
-    deprecated shims for ``options``.
+    those of run 0.
     """
-    options = resolve_options(
-        options, caller="fig4_all_panels", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options if options is not None else RunOptions()
     base = options.resolved_seed(0)
     grid = [
         dict(panel=p,
@@ -548,15 +532,11 @@ def _fig7_one_run(
 
 def fig7_app_violations(
     app: str = "pop",
-    seed: int = _UNSET,
+    *,
     runs: int = 3,
     nprocs: int = 32,
     scale: float = 0.1,
     timer: str = "tsc",
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    engine: str = _UNSET,
-    *,
     options: RunOptions | None = None,
     telemetry=None,
 ) -> Fig7Result:
@@ -571,18 +551,14 @@ def fig7_app_violations(
     The repetitions are independent simulations with explicit per-rep
     seeds, so they fan out over ``options.jobs`` worker processes with
     results identical to a serial run; ``options.cache`` memoizes
-    finished repetitions.  ``engine="batch"`` selects the vectorized
-    trace generator — bit-identical by contract, and invisible to cache
-    keys, so a cached figure regenerates from either engine's entries.
-    The ``seed`` / ``jobs`` / ``cache`` / ``engine`` keywords are
-    deprecated shims for ``options``.
+    finished repetitions.  ``options.engine="batch"`` selects the
+    vectorized trace generator — bit-identical by contract, and
+    invisible to cache keys, so a cached figure regenerates from either
+    engine's entries.
     """
     if app not in ("pop", "smg2000"):
         raise ConfigurationError(f"unknown app {app!r} (use 'pop' or 'smg2000')")
-    options = resolve_options(
-        options, caller="fig7_app_violations",
-        seed=seed, jobs=jobs, cache=cache, engine=engine,
-    )
+    options = options if options is not None else RunOptions()
     seed = options.resolved_seed(0)
     grid = [
         dict(
@@ -637,12 +613,9 @@ def _fig8_one_run(nthreads: int, run_seed: int, regions: int) -> PompRegionRepor
 
 def fig8_openmp_violations(
     threads: tuple[int, ...] = (4, 8, 12, 16),
-    seed: int = _UNSET,
+    *,
     runs: int = 3,
     regions: int = 200,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    *,
     options: RunOptions | None = None,
     telemetry=None,
 ) -> Fig8Result:
@@ -651,12 +624,9 @@ def fig8_openmp_violations(
     No offset alignment or interpolation is applied (paper's setup);
     numbers are averaged over ``runs`` seeds like the paper's three
     measurements.  The (thread count x repetition) grid fans out over
-    ``options.jobs`` workers deterministically.  The ``seed`` / ``jobs``
-    / ``cache`` keywords are deprecated shims for ``options``.
+    ``options.jobs`` workers deterministically.
     """
-    options = resolve_options(
-        options, caller="fig8_openmp_violations", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options if options is not None else RunOptions()
     seed = options.resolved_seed(1)
     grid = [
         dict(nthreads=n, run_seed=seed + rep, regions=regions)
@@ -825,13 +795,10 @@ def _waitstate_job(
 
 
 def ext_waitstate_accuracy(
-    seed: int = _UNSET,
+    *,
     nprocs: int = 6,
     steps: int = 60,
     timer: str = "mpi_wtime",
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    *,
     options: RunOptions | None = None,
     telemetry=None,
 ) -> WaitstateAccuracyResult:
@@ -839,13 +806,9 @@ def ext_waitstate_accuracy(
     ground truth vs. raw / interpolated / CLC-corrected timestamps.
 
     The ground-truth and measured simulations are independent worlds
-    with the same seed, so they run as two :func:`run_grid` jobs.  The
-    ``seed`` / ``jobs`` / ``cache`` keywords are deprecated shims for
-    ``options``.
+    with the same seed, so they run as two :func:`run_grid` jobs.
     """
-    options = resolve_options(
-        options, caller="ext_waitstate_accuracy", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options if options is not None else RunOptions()
     seed = options.resolved_seed(11)
     grid = [
         dict(mode="truth", timer=timer, seed=seed, nprocs=nprocs, steps=steps),

@@ -611,15 +611,12 @@ def _cmd_figures(args) -> int:
             level=args.level,
         )
     recorder = _telemetry_for(args)
-    # The flag documents 0 as "all cores"; RunOptions only carries
-    # positive counts, so resolve it here.
-    jobs = args.jobs
-    if jobs == 0:
-        import os
+    from repro.analysis.runner import resolve_jobs
 
-        jobs = os.cpu_count() or 1
+    # The flag documents 0 as "all cores"; RunOptions only carries
+    # positive counts.
     options = RunOptions(
-        engine=args.engine, jobs=jobs, cache=cache,
+        engine=args.engine, jobs=resolve_jobs(args.jobs), cache=cache,
         seed=args.seed, telemetry=recorder, stopping=stopping,
     )
     targets = list(FIGURE_TARGETS) if "all" in args.targets else args.targets

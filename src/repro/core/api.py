@@ -10,12 +10,14 @@ synchronization behind a handful of calls::
                              options=RunOptions(seed=42))
     run = session.trace(pop_worker(PopConfig(steps=100, step_time=1e-3,
                                              trace_window=None, grid=(4, 2))))
-    report = session.synchronize(run)
-    print(report.summary())
+    result = session.synchronize(run)
+    print(result.summary())
 
 Everything the façade does is also reachable through the underlying
-objects (:class:`~repro.mpi.runtime.MpiWorld`,
-:class:`~repro.core.pipeline.SyncPipeline`), which the session exposes.
+pieces: the session exposes its :class:`~repro.mpi.runtime.MpiWorld`,
+and :meth:`TracingSession.synchronize` is
+:func:`~repro.core.correct.correct_trace` with the session's pairwise
+latency floors as ``lmin``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from repro.cluster.machines import (
     xeon_cluster,
 )
 from repro.cluster.pinning import Pinning, inter_node, scheduler_default
-from repro.core.pipeline import PipelineReport, SyncPipeline
+from repro.core.correct import CorrectionResult, correct_trace
 from repro.errors import ConfigurationError
 from repro.mpi.runtime import MpiWorld, RunResult
-from repro.options import _UNSET, RunOptions, resolve_options
+from repro.options import RunOptions
 from repro.rng import RngFabric
 from repro.sync.violations import lmin_matrix_from_trace
 
@@ -67,16 +69,14 @@ class TracingSession:
         an explicit :class:`Pinning`.
     timer:
         Timer technology; ``None`` uses the platform's paper default.
-    seed:
-        Deprecated — pass ``options=RunOptions(seed=...)``.  Root seed
-        for all randomness.
     duration_hint:
         Upper bound on the run's true-time length, seconds.
     jitter:
         OS-noise model; defaults to a modest compute-node profile.
     options:
-        A :class:`repro.options.RunOptions`; ``seed``, ``engine``, and
-        ``telemetry`` configure every :meth:`trace` run of the session.
+        A :class:`repro.options.RunOptions`; ``seed`` (the root seed for
+        all randomness, default 0), ``engine``, and ``telemetry``
+        configure every :meth:`trace` run of the session.
     telemetry:
         A :class:`repro.telemetry.TelemetryRecorder`; overrides
         ``options.telemetry`` when both are given.
@@ -88,14 +88,13 @@ class TracingSession:
         nprocs: int = 4,
         placement: str | Pinning = "spread",
         timer: Optional[str] = None,
-        seed: int = _UNSET,
+        *,
         duration_hint: float = 3700.0,
         jitter: Optional[OsJitterModel] = None,
-        *,
         options: Optional[RunOptions] = None,
         telemetry=None,
     ) -> None:
-        options = resolve_options(options, caller="TracingSession", seed=seed)
+        options = options if options is not None else RunOptions()
         if telemetry is not None:
             options = options.replace(telemetry=telemetry)
         self.options = options
@@ -138,12 +137,9 @@ class TracingSession:
         """Run ``worker`` under tracing with offset measurements.
 
         The session's :class:`~repro.options.RunOptions` (engine,
-        telemetry) apply unless ``run_kwargs`` overrides ``options=``
-        (or the deprecated ``engine=``, which then warns in
-        ``world.run``).
+        telemetry) apply unless ``run_kwargs`` overrides ``options=``.
         """
-        if "engine" not in run_kwargs:
-            run_kwargs.setdefault("options", self.options)
+        run_kwargs.setdefault("options", self.options)
         return self.world.run(worker, tracing=True, measure_offsets=True, **run_kwargs)
 
     def lmin_matrix(self, trace=None) -> np.ndarray:
@@ -161,14 +157,22 @@ class TracingSession:
         run: RunResult,
         interpolation: str = "linear",
         apply_clc: bool = True,
-        **pipeline_kwargs,
-    ) -> PipelineReport:
-        """Correct and verify a traced run with the standard pipeline."""
-        pipeline_kwargs.setdefault("telemetry", self.options.telemetry)
-        pipeline = SyncPipeline(
-            interpolation=interpolation, apply_clc=apply_clc, **pipeline_kwargs
+        **correct_kwargs,
+    ) -> CorrectionResult:
+        """Correct and verify a traced run through :func:`correct_trace`.
+
+        ``lmin`` is the session's :meth:`lmin_matrix`; ``correct_kwargs``
+        (``gamma``, ``amortization_window``, ``telemetry``, ...) pass
+        through, with ``telemetry`` defaulting to the session's.
+        """
+        correct_kwargs.setdefault("telemetry", self.options.telemetry)
+        return correct_trace(
+            run,
+            interpolation=interpolation,
+            clc=apply_clc,
+            lmin=self.lmin_matrix(),
+            **correct_kwargs,
         )
-        return pipeline.run(run, lmin=self.lmin_matrix())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,7 +1,6 @@
 """The one-call correction facade: :func:`correct_trace`.
 
-Every way this package corrects a trace — the ``repro sync`` CLI, the
-:class:`~repro.core.pipeline.SyncPipeline` behind
+Every way this package corrects a trace — the ``repro sync`` CLI,
 ``TracingSession.synchronize``, the trace-correction service workers of
 :mod:`repro.service`, and direct Python callers — goes through this one
 function, so the contract "interpolation then CLC, scans between

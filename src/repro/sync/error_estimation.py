@@ -26,19 +26,20 @@ direction lower-bounds it.  Three estimators of the medial line
 
 :func:`synchronize_by_spanning_tree` composes pairwise estimates along a
 maximum-message-count spanning tree (Jezequel's adaptation to arbitrary
-topologies, built with networkx) to produce a
+topologies; Kruskal over at most ``nranks`` nodes) to produce a
 :class:`~repro.sync.interpolation.ClockCorrection` onto a master rank.
+
+Only the hull LP needs scipy, and it is imported on first use: the
+regression and min/max estimators are numpy-only.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import linregress
 
 from repro.errors import SynchronizationError
 from repro.sync.interpolation import ClockCorrection
@@ -124,8 +125,11 @@ def _fit_line(t: np.ndarray, d: np.ndarray) -> tuple[float, float]:
         return float(d[0]), 0.0
     if np.allclose(t, t[0]):
         return float(d.mean()), 0.0
-    res = linregress(t, d)
-    return float(res.intercept), float(res.slope)
+    # Ordinary least squares, in the exact operation order of
+    # scipy.stats.linregress (bit-identical slope and intercept).
+    ssxm, ssxym, _, _ = np.cov(t, d, bias=1).flat
+    slope = ssxym / ssxm
+    return float(np.mean(d) - slope * np.mean(t)), float(slope)
 
 
 def _regression_line(t_fwd, d_fwd, t_rev, d_rev) -> tuple[float, float]:
@@ -144,6 +148,8 @@ def _hull_line(t_fwd, d_fwd, t_rev, d_rev) -> tuple[float, float]:
 
     Variables x = (a, b, m); linprog minimizes c @ x with A_ub x <= b_ub.
     """
+    from scipy.optimize import linprog
+
     # Normalize the time axis for LP conditioning.
     t0 = min(t_fwd.min(), t_rev.min())
     scale = max(max(t_fwd.max(), t_rev.max()) - t0, 1.0)
@@ -221,7 +227,7 @@ def synchronize_by_spanning_tree(
     """Jezequel-style whole-job synchronization from message estimates.
 
     Builds a graph over ranks weighted by message support, extracts a
-    maximum-support spanning tree (networkx minimum tree on ``1/count``),
+    maximum-support spanning tree (minimum tree on ``1/count``),
     composes offset lines along the tree paths to ``master``, and
     returns the equivalent :class:`ClockCorrection` (two knots per rank
     spanning the trace's time range).
@@ -246,8 +252,11 @@ def synchronize_by_spanning_tree(
     if len(messages) == 0:
         raise SynchronizationError("trace has no messages to estimate offsets from")
 
-    graph = nx.Graph()
-    graph.add_nodes_from(trace.ranks)
+    # Rank pairs with traffic both ways, weighted 1/count so the minimum
+    # spanning tree is the maximum-support one.  Nodes and each node's
+    # neighbours keep first-seen order: the tree's tie-breaks follow it.
+    adjacency: dict[int, list[int]] = {rank: [] for rank in trace.ranks}
+    weight: dict[tuple[int, int], float] = {}
     pairs: dict[tuple[int, int], int] = {}
     for s, d in zip(messages.src, messages.dst):
         key = (min(int(s), int(d)), max(int(s), int(d)))
@@ -256,19 +265,23 @@ def synchronize_by_spanning_tree(
         fwd = int(np.count_nonzero((messages.src == p) & (messages.dst == q)))
         rev = count - fwd
         if fwd > 0 and rev > 0:
-            graph.add_edge(p, q, weight=1.0 / count, support=count)
-    if not nx.is_connected(graph):
+            adjacency.setdefault(p, []).append(q)
+            adjacency.setdefault(q, []).append(p)
+            weight[p, q] = weight[q, p] = 1.0 / count
+    if master not in adjacency:
+        raise SynchronizationError(f"master rank {master} is not in the trace")
+    tree_edges = _spanning_tree_bfs(adjacency, weight, master)
+    if tree_edges is None:
         raise SynchronizationError(
             "message graph is not connected (with bidirectional traffic); "
             "cannot synchronize all ranks"
         )
-    tree = nx.minimum_spanning_tree(graph, weight="weight")
 
     # Compose lines from master outward (BFS over the tree).
     lines: dict[int, OffsetLine] = {
         master: OffsetLine(master, master, 0.0, 0.0, method, 0)
     }
-    for parent, child in nx.bfs_edges(tree, master):
+    for parent, child in tree_edges:
         edge_line = estimate_pairwise_offsets(messages, (parent, child), lmin, method)
         parent_line = lines[parent]
         # offset(master - child) = offset(master - parent) + offset(parent - child)
@@ -295,6 +308,56 @@ def synchronize_by_spanning_tree(
             np.array([line.a + line.b * t_lo, line.a + line.b * t_hi]),
         )
     return ClockCorrection(knots, master=master)
+
+
+def _spanning_tree_bfs(
+    adjacency: dict[int, list[int]],
+    weight: dict[tuple[int, int], float],
+    master: int,
+) -> Optional[list[tuple[int, int]]]:
+    """``(parent, child)`` edges of the minimum-weight spanning tree, in
+    BFS order from ``master``; ``None`` if the graph is disconnected.
+
+    Kruskal: every undirected edge once, listed from its first-seen end
+    in node order, stable-sorted by weight (equal weights keep that
+    order), merged by union-find.  The BFS visits each node's neighbours
+    in the order their tree edges were accepted.
+    """
+    edges: list[tuple[float, int, int]] = []
+    listed: set[int] = set()
+    for u, nbrs in adjacency.items():
+        edges.extend((weight[u, v], u, v) for v in nbrs if v not in listed)
+        listed.add(u)
+    edges.sort(key=lambda e: e[0])
+
+    root = {u: u for u in adjacency}
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    tree: dict[int, list[int]] = {u: [] for u in adjacency}
+    for _, u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            tree[u].append(v)
+            tree[v].append(u)
+
+    order: list[tuple[int, int]] = []
+    seen = {master}
+    queue = deque([master])
+    while queue:
+        parent = queue.popleft()
+        for child in tree[parent]:
+            if child not in seen:
+                seen.add(child)
+                order.append((parent, child))
+                queue.append(child)
+    # The BFS reaches every node only if the forest is a single tree.
+    return order if len(order) == len(adjacency) - 1 else None
 
 
 def _windowed_spanning_tree(

@@ -19,7 +19,6 @@ the equivalence-test oracle.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.sync.order import build_dependencies, replay_schedule
@@ -75,23 +74,26 @@ def concurrent(a: np.ndarray, b: np.ndarray) -> bool:
     return not vector_leq(a, b) and not vector_leq(b, a)
 
 
-def happened_before_graph(trace: Trace, include_collectives: bool = True) -> "nx.DiGraph":
+def happened_before_graph(
+    trace: Trace, include_collectives: bool = True
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """The happened-before DAG over ``(rank, index)`` event nodes.
 
-    Edges: local program order plus the remote dependencies of
-    :func:`repro.sync.order.build_dependencies`.  Mainly used to
-    validate logical-clock implementations and for small-trace
-    visualization; it materializes every event as a node, so keep it
-    away from million-event traces.
+    Returned as an adjacency dict: every event maps to its direct
+    successors (each edge once).  Edges: local program order plus the
+    remote dependencies of :func:`repro.sync.order.build_dependencies`.
+    Mainly used to validate logical-clock implementations and for
+    small-trace visualization; it materializes every event as a node,
+    so keep it away from million-event traces.
     """
-    g = nx.DiGraph()
+    graph: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for rank in trace.ranks:
         length = len(trace.logs[rank])
         for idx in range(length):
-            g.add_node((rank, idx))
-            if idx > 0:
-                g.add_edge((rank, idx - 1), (rank, idx))
+            graph[(rank, idx)] = [(rank, idx + 1)] if idx + 1 < length else []
     for ref, sources in build_dependencies(trace, include_collectives).items():
         for src in sources:
-            g.add_edge(src, ref)
-    return g
+            successors = graph.setdefault(src, [])
+            if ref not in successors:
+                successors.append(ref)
+    return graph

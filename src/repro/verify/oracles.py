@@ -658,11 +658,12 @@ def _module_type_hints(case: TraceCase) -> None:
 )
 def _run_grid_identity(case: TraceCase) -> None:
     from repro.analysis.runner import run_grid
+    from repro.options import RunOptions
 
     p = case.spec.params
     grid = [{"seed": int(s), "n": int(p["n"])} for s in p["seeds"]]
-    serial = run_grid(grid_probe_job, grid, jobs=None)
-    parallel = run_grid(grid_probe_job, grid, jobs=2)
+    serial = run_grid(grid_probe_job, grid)
+    parallel = run_grid(grid_probe_job, grid, options=RunOptions(jobs=2))
     _require(serial == parallel,
              "parallel run_grid results differ from the serial run")
 
@@ -676,14 +677,15 @@ def _run_grid_identity(case: TraceCase) -> None:
 )
 def _grid_identity_under_work_stealing(case: TraceCase) -> None:
     from repro.analysis.runner import run_grid
+    from repro.options import RunOptions
     from repro.telemetry import TelemetryRecorder
 
     p = case.spec.params
     grid = [{"seed": int(s), "n": int(p["n"])} for s in p["seeds"]]
-    serial = run_grid(grid_probe_job, grid, jobs=None)
+    serial = run_grid(grid_probe_job, grid)
     recorder = TelemetryRecorder()
     stolen = run_grid(
-        grid_probe_job, grid, jobs=int(p.get("jobs", 2)),
+        grid_probe_job, grid, options=RunOptions(jobs=int(p.get("jobs", 2))),
         batch_size=int(p.get("batch_size", 1)), telemetry=recorder,
     )
     _require(serial == stolen,

@@ -1,6 +1,6 @@
 """The ``correct_trace`` facade: one code path, every source kind.
 
-The facade's contract is that the CLI, the pipeline, the service
+The facade's contract is that the CLI, ``TracingSession``, the service
 workers, and direct callers all produce bit-identical corrections for
 the same input.  These tests pin that down via the canonical ``.jsonl``
 encoding, which is byte-stable (unlike ``.npz``).
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.api import TracingSession
 from repro.core.correct import (
     INTERPOLATIONS,
     STREAMING_INTERPOLATIONS,
@@ -17,12 +18,12 @@ from repro.core.correct import (
     correct_trace,
     scan_source,
 )
-from repro.core.pipeline import SyncPipeline
 from repro.errors import SynchronizationError, TraceFormatError
+from repro.options import RunOptions
 from repro.tracing.store import ChunkedTrace, write_sharded_trace
 from repro.tracing.trace import Trace
 from repro.tracing.writer import trace_to_jsonl, write_trace
-from repro.workloads import simulate_workload
+from repro.workloads import SparseConfig, simulate_workload, sparse_worker
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +125,16 @@ class TestStreamingGuards:
 
 
 class TestSingleCodePath:
-    def test_pipeline_is_the_facade(self, run, reference_jsonl):
-        report = SyncPipeline(interpolation="linear", apply_clc=True).run(run)
-        assert trace_to_jsonl(report.trace) == reference_jsonl
+    def test_pipeline_is_the_facade(self):
+        """``TracingSession.synchronize`` is ``correct_trace`` with the
+        session's latency floors."""
+        session = TracingSession(
+            nprocs=4, duration_hint=60.0, options=RunOptions(seed=3)
+        )
+        traced = session.trace(sparse_worker(SparseConfig(rounds=5), seed=3))
+        report = session.synchronize(traced)
+        direct = correct_trace(traced, lmin=session.lmin_matrix())
+        assert trace_to_jsonl(report.trace) == trace_to_jsonl(direct.trace)
         assert [s.stage for s in report.stages] == ["raw", "linear", "clc"]
 
     def test_scan_source_matches_raw_stage(self, run):

@@ -143,6 +143,11 @@ class TestSpanningTreeSync:
         ts = run.trace.logs[2].timestamps
         np.testing.assert_array_equal(corr.apply_rank(2, ts), ts)
 
+    def test_unknown_master_rejected(self):
+        run = self.traced_run()
+        with pytest.raises(SynchronizationError, match="master"):
+            synchronize_by_spanning_tree(run.trace, lmin=1e-6, master=99)
+
     def test_raises_without_messages(self):
         from repro.tracing.events import EventLog, EventType
         from repro.tracing.trace import Trace

@@ -1,4 +1,4 @@
-"""Tests for the high-level API (repro.core.pipeline / api)."""
+"""Tests for the high-level API (repro.core.api)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.options import RunOptions
 
-from repro import PipelineReport, SyncPipeline, TracingSession
+from repro import CorrectionResult, TracingSession
 from repro.cluster.pinning import inter_core
 from repro.cluster.machines import xeon_cluster
 from repro.errors import ConfigurationError, SynchronizationError
@@ -61,9 +61,10 @@ class TestTracingSession:
         assert run.init_offsets is not None and run.final_offsets is not None
 
 
-class TestSyncPipeline:
+class TestSynchronize:
     def test_full_chain(self, session, run):
         report = session.synchronize(run)
+        assert isinstance(report, CorrectionResult)
         stage_names = [s.stage for s in report.stages]
         assert stage_names == ["raw", "linear", "clc"]
         assert report.stage("clc").total_violated == 0
@@ -88,23 +89,23 @@ class TestSyncPipeline:
         none_stage = report.stage("none")
         assert none_stage.total_violated == raw.total_violated
 
-    def test_invalid_mode(self):
+    def test_invalid_mode(self, session, run):
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="quadratic")
+            session.synchronize(run, interpolation="quadratic")
 
     def test_requires_trace(self, session):
         from repro.mpi.runtime import RunResult
 
         empty = RunResult(trace=None, init_offsets=None, final_offsets=None)
         with pytest.raises(SynchronizationError):
-            SyncPipeline().run(empty)
+            session.synchronize(empty)
 
     def test_requires_measurements_for_linear(self, session):
         run2 = session.world.run(
             sparse_worker(SparseConfig(rounds=3), seed=1), measure_offsets=False
         )
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="linear").run(run2)
+            session.synchronize(run2, interpolation="linear")
 
     def test_summary_text(self, session, run):
         report = session.synchronize(run)

@@ -1,4 +1,4 @@
-"""The public API surface: exports, RunOptions, and deprecation shims.
+"""The public API surface: exports, RunOptions, and the removed shims.
 
 This module is run in CI with ``-W error::DeprecationWarning``, so any
 deprecated usage that slips into the package itself (not just into user
@@ -9,6 +9,7 @@ this list in the same change.
 
 from __future__ import annotations
 
+import importlib
 import warnings
 
 import pytest
@@ -16,21 +17,20 @@ import pytest
 import repro
 from repro import RunOptions, RunResult, TelemetryRecorder, TracingSession
 from repro.cluster import inter_node, xeon_cluster
+from repro.analysis import experiments
+from repro.analysis.runner import run_grid
 from repro.errors import ConfigurationError
 from repro.mpi import MpiWorld
-from repro.options import resolve_options
 
 #: The one and only list of top-level exports.  Update deliberately.
 EXPECTED_EXPORTS = [
     "CorrectionResult",
-    "PipelineReport",
     "ReproError",
     "RunOptions",
     "RunResult",
     "SampleSummary",
     "ServiceClient",
     "StoppingRule",
-    "SyncPipeline",
     "TelemetryRecorder",
     "TracingSession",
     "__version__",
@@ -106,37 +106,43 @@ class TestRunOptions:
         assert RunOptions(telemetry=recorder).telemetry_or_null is recorder
 
 
+#: Every per-call keyword the 1.x shims accepted, by entry point.  2.0
+#: removed them all: ``options=RunOptions(...)`` is the only spelling.
+REMOVED_KEYWORDS = {
+    "MpiWorld.run": ("engine",),
+    "run_grid": ("jobs", "cache"),
+    "TracingSession": ("seed",),
+    "table2_latencies": ("seed", "jobs", "cache", "engine"),
+    "fig4_all_panels": ("seed", "jobs", "cache"),
+    "fig7_app_violations": ("seed", "jobs", "cache", "engine"),
+    "fig8_openmp_violations": ("seed", "jobs", "cache"),
+    "ext_waitstate_accuracy": ("seed", "jobs", "cache"),
+}
+
+_ENTRY_POINTS = {
+    "MpiWorld.run": lambda **kw: _world().run(_worker, **kw),
+    "run_grid": lambda **kw: run_grid(_square, [dict(x=2)], **kw),
+    "TracingSession": lambda **kw: TracingSession(nprocs=2, duration_hint=10.0, **kw),
+    **{
+        name: getattr(experiments, name)
+        for name in (
+            "table2_latencies", "fig4_all_panels", "fig7_app_violations",
+            "fig8_openmp_violations", "ext_waitstate_accuracy",
+        )
+    },
+}
+
+_LEGACY_VALUES = {"engine": "reference", "jobs": None, "cache": None, "seed": 0}
+
+
 class TestDeprecationShims:
-    def test_legacy_engine_kwarg_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            run = _world().run(_worker, engine="reference")
-        assert isinstance(run, RunResult)
+    """The 1.x shims are gone: legacy keywords are ``TypeError``s."""
 
     def test_options_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run = _world().run(_worker, options=RunOptions(engine="reference"))
         assert isinstance(run, RunResult)
-
-    def test_options_plus_legacy_conflict(self):
-        with pytest.raises(ConfigurationError):
-            resolve_options(RunOptions(), caller="test", engine="batch")
-
-    def test_resolve_names_the_caller(self):
-        with pytest.warns(DeprecationWarning, match="somewhere"):
-            resolve_options(None, caller="somewhere", seed=1)
-
-    def test_legacy_run_grid_jobs_warns(self):
-        from repro.analysis.runner import run_grid
-
-        with pytest.warns(DeprecationWarning, match="run_grid"):
-            out = run_grid(_square, [dict(x=2), dict(x=3)], jobs=None)
-        assert out == [4, 9]
-
-    def test_legacy_session_seed_warns(self):
-        with pytest.warns(DeprecationWarning, match="TracingSession"):
-            session = TracingSession(nprocs=2, duration_hint=10.0, seed=5)
-        assert session.seed == 5
 
     def test_session_options_path_is_silent(self):
         with warnings.catch_warnings():
@@ -148,11 +154,27 @@ class TestDeprecationShims:
         assert session.seed == 5
         assert run.results == {0: 0, 1: 1}
 
-    def test_legacy_experiment_kwargs_warn(self):
-        from repro.analysis.experiments import table2_latencies
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [(e, k) for e, kws in REMOVED_KEYWORDS.items() for k in kws],
+    )
+    def test_removed_keyword_is_type_error(self, entry, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            _ENTRY_POINTS[entry](**{keyword: _LEGACY_VALUES[keyword]})
 
-        with pytest.warns(DeprecationWarning, match="table2_latencies"):
-            table2_latencies(seed=0, repeats=5, coll_repeats=5)
+    def test_old_positional_seed_slot_is_type_error(self):
+        # ``table2_latencies(seed, repeats, ...)``: with ``seed`` gone the
+        # remaining parameters are keyword-only, so an old positional
+        # call fails instead of silently shifting into ``repeats``.
+        with pytest.raises(TypeError):
+            experiments.table2_latencies(0, 5)
+        with pytest.raises(TypeError):
+            experiments.fig7_app_violations("pop", 0, 3)
+
+    def test_shim_modules_are_gone(self):
+        assert importlib.import_module("repro.options").__all__ == ["ENGINES", "RunOptions"]
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.pipeline")
 
 
 def _square(x):
