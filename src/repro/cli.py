@@ -394,17 +394,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    reports = scan_source(args.trace, lmin=args.lmin)
+    sharded = is_sharded_trace_dir(args.trace)
+    trace = ChunkedTrace(args.trace) if sharded else read_trace(args.trace)
+    reports = scan_source(trace, lmin=args.lmin)
     p2p, coll = reports["p2p"], reports["collective"]
-    if is_sharded_trace_dir(args.trace):
-        chunked = ChunkedTrace(args.trace)
+    if sharded:
         print(
-            f"{args.trace}: {chunked.nranks} ranks, "
-            f"{chunked.total_events()} events "
-            f"({chunked.reader.shard_count()} shards, streamed)"
+            f"{args.trace}: {trace.nranks} ranks, "
+            f"{trace.total_events()} events "
+            f"({trace.reader.shard_count()} shards, streamed)"
         )
     else:
-        trace = read_trace(args.trace)
         print(f"{args.trace}: {trace.nranks} ranks, {trace.total_events()} events")
     print(f"  p2p:        {p2p.violated}/{p2p.checked} ({100 * p2p.rate:.3f} %) violations")
     print(

@@ -20,14 +20,22 @@ Sources it accepts:
 * a path to a ``.npz`` / ``.jsonl`` trace file;
 * a sharded trace directory (or
   :class:`~repro.tracing.store.ChunkedTrace`), corrected out-of-core by
-  the bounded-memory kernels of :mod:`repro.sync.streaming` — this path
-  requires ``output`` and supports the streaming-safe interpolation
-  modes (``none`` / ``align`` / ``linear``).
+  the drivers of :mod:`repro.sync.streaming` — this source requires
+  ``output`` and supports the streaming-safe interpolation modes
+  (``none`` / ``align`` / ``linear``).
+
+Every source runs the same stage sequence — scan, interpolate, scan,
+CLC, scan, write — with the same telemetry spans and the same
+:func:`_build_correction`.  The source kind only picks the kernel at
+three points: the scan, applying the interpolation, and the CLC, each
+either in memory or streamed shard by shard.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -260,6 +268,57 @@ def _scan_stage(stage: str, trace, lmin: LminSpec, telemetry) -> StageReport:
     return StageReport(stage=stage, p2p=p2p, collective=coll)
 
 
+def _check_streamable(interpolation: str, clc: bool, lmin, output) -> None:
+    """What a sharded source cannot do: whole-trace modes, no-ops, no output."""
+    if interpolation not in STREAMING_INTERPOLATIONS:
+        raise SynchronizationError(
+            f"interpolation {interpolation!r} needs the whole trace in "
+            "memory; sharded trace directories support "
+            f"{', '.join(STREAMING_INTERPOLATIONS)} (materialize the trace "
+            "first for the others)"
+        )
+    if interpolation == "none" and not clc:
+        raise SynchronizationError(
+            "nothing to apply to a sharded trace: interpolation 'none' "
+            "without clc (use scan_source for a scan-only pass)"
+        )
+    if output is None:
+        raise SynchronizationError(
+            "correcting a sharded trace requires output= (the streamed "
+            "result is written shard by shard, never materialized)"
+        )
+    if not isinstance(lmin, (int, float)):
+        raise SynchronizationError(
+            "streaming correction takes a scalar lmin floor"
+        )
+
+
+def _apply_stage(correction: ClockCorrection, trace, interpolation: str, dest, telemetry):
+    """The interpolation stage; a sharded trace is rewritten into ``dest``."""
+    if not _is_chunked(trace):
+        return correction.apply(trace)
+    if interpolation == "none":
+        return trace  # the identity: nothing to rewrite
+    from repro.sync.streaming import streaming_apply_correction
+
+    return streaming_apply_correction(correction, trace, dest, telemetry=telemetry)
+
+
+def _clc_stage(trace, gamma, amortization_window, lmin, output, telemetry) -> ClcResult:
+    """The CLC stage; a sharded trace is corrected into ``output``."""
+    if not _is_chunked(trace):
+        corrector = ControlledLogicalClock(
+            gamma=gamma, amortization_window=amortization_window, telemetry=telemetry
+        )
+        return corrector.correct(trace, lmin=lmin)
+    from repro.sync.streaming import streaming_clc_correct
+
+    return streaming_clc_correct(
+        trace, output, gamma=gamma, amortization_window=amortization_window,
+        lmin=lmin, telemetry=telemetry,
+    )
+
+
 # ----------------------------------------------------------------------
 # The facade
 # ----------------------------------------------------------------------
@@ -316,26 +375,28 @@ def correct_trace(
     tele = ensure_telemetry(telemetry)
 
     trace, run = _normalize_source(source)
-    if _is_chunked(trace):
-        return _correct_streaming(
-            trace,
-            interpolation=interpolation,
-            clc=clc,
-            gamma=gamma,
-            lmin=lmin,
-            scan=scan,
-            output=output,
-            telemetry=tele,
-        )
+    streamed = _is_chunked(trace)
+    if streamed:
+        _check_streamable(interpolation, clc, lmin, output)
+        output = Path(output)
 
     timings: dict[str, float] = {}
-    with tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
+    with ExitStack() as cleanup, tele.span(
+        "sync.pipeline", interpolation=interpolation, clc=clc
+    ):
+        # A streamed interpolation is written to the output or, when the
+        # CLC still has to read it, to a scratch directory.
+        interp_dest = output
+        if streamed and clc:
+            scratch = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="repro-correct-"))
+            interp_dest = Path(scratch) / "interp"
+
         stages = [_scan_stage("raw", trace, lmin, tele)] if scan else []
 
         start = time.perf_counter()
         with tele.span("sync.interpolate", mode=interpolation):
             correction = _build_correction(trace, run, interpolation, lmin)
-            trace = correction.apply(trace)
+            trace = _apply_stage(correction, trace, interpolation, interp_dest, tele)
         timings["interpolate"] = time.perf_counter() - start
         if scan:
             stages.append(_scan_stage(interpolation, trace, lmin, tele))
@@ -344,19 +405,14 @@ def correct_trace(
         if clc:
             start = time.perf_counter()
             with tele.span("sync.clc", gamma=gamma):
-                corrector = ControlledLogicalClock(
-                    gamma=gamma,
-                    amortization_window=amortization_window,
-                    telemetry=tele,
-                )
-                clc_result = corrector.correct(trace, lmin=lmin)
+                clc_result = _clc_stage(trace, gamma, amortization_window, lmin, output, tele)
             trace = clc_result.trace
             timings["clc"] = time.perf_counter() - start
             if scan:
                 stages.append(_scan_stage("clc", trace, lmin, tele))
 
-    out_path = None
-    if output is not None:
+    out_path = output
+    if output is not None and not streamed:
         from repro.tracing.writer import write_trace
 
         out_path = write_trace(trace, output)
@@ -368,6 +424,7 @@ def correct_trace(
         clc=clc_result,
         interpolation=interpolation,
         applied_clc=clc,
+        streamed=streamed,
         output=out_path,
         timings=timings,
     )
@@ -422,102 +479,3 @@ def _build_correction(
             "finalize; use interpolation='align' for init-only traces"
         )
     return linear_interpolation(init, final)
-
-
-def _correct_streaming(
-    chunked,
-    *,
-    interpolation: str,
-    clc: bool,
-    gamma: float,
-    lmin,
-    scan: bool,
-    output,
-    telemetry,
-) -> CorrectionResult:
-    """Bounded-memory correction of a sharded trace into ``output``."""
-    import tempfile
-
-    from repro.sync.streaming import (
-        streaming_apply_correction,
-        streaming_clc_correct,
-    )
-    from repro.tracing.store import ChunkedTrace
-
-    if interpolation not in STREAMING_INTERPOLATIONS:
-        raise SynchronizationError(
-            f"interpolation {interpolation!r} needs the whole trace in "
-            "memory; sharded trace directories support "
-            f"{', '.join(STREAMING_INTERPOLATIONS)} (materialize the trace "
-            "first for the others)"
-        )
-    if interpolation == "none" and not clc:
-        raise SynchronizationError(
-            "nothing to apply to a sharded trace: interpolation 'none' "
-            "without clc (use scan_source for a scan-only pass)"
-        )
-    if output is None:
-        raise SynchronizationError(
-            "correcting a sharded trace requires output= (the streamed "
-            "result is written shard by shard, never materialized)"
-        )
-    if not isinstance(lmin, (int, float)):
-        raise SynchronizationError(
-            "streaming correction takes a scalar lmin floor"
-        )
-    output = Path(output)
-
-    timings: dict[str, float] = {}
-    stages = [_scan_stage("raw", chunked, lmin, telemetry)] if scan else []
-
-    correction = None
-    if interpolation != "none":
-        init = measurements_from_meta(chunked.meta, "init_offsets")
-        final = measurements_from_meta(chunked.meta, "final_offsets")
-        if init is None:
-            raise SynchronizationError(
-                "trace has no offset measurements in metadata"
-            )
-        if interpolation == "align":
-            correction = align_offsets(init)
-        else:
-            if final is None:
-                raise SynchronizationError(
-                    "trace has no final offsets; use interpolation='align'"
-                )
-            correction = linear_interpolation(init, final)
-
-    source = chunked
-    clc_result = None
-    with tempfile.TemporaryDirectory(prefix="repro-correct-") as tmp:
-        if correction is not None:
-            start = time.perf_counter()
-            dest = f"{tmp}/interp" if clc else output
-            source = streaming_apply_correction(
-                correction, source, dest, telemetry=telemetry
-            )
-            timings["interpolate"] = time.perf_counter() - start
-            if scan:
-                stages.append(_scan_stage(interpolation, source, lmin, telemetry))
-        if clc:
-            start = time.perf_counter()
-            clc_result = streaming_clc_correct(
-                source, output, gamma=gamma, lmin=lmin, telemetry=telemetry
-            )
-            timings["clc"] = time.perf_counter() - start
-
-    corrected = ChunkedTrace(output)
-    if clc and scan:
-        stages.append(_scan_stage("clc", corrected, lmin, telemetry))
-
-    return CorrectionResult(
-        trace=corrected,
-        stages=stages,
-        correction=correction,
-        clc=clc_result,
-        interpolation=interpolation,
-        applied_clc=clc,
-        streamed=True,
-        output=output,
-        timings=timings,
-    )

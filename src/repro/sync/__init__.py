@@ -17,9 +17,10 @@ This package implements the paper's Section III/V toolchain:
 * :mod:`repro.sync.replay` — replay-ordered (parallelizable) CLC;
 * :mod:`repro.sync.schedule` — compiled happened-before schedules and
   the array kernels behind CLC, Lamport, vector, and replay;
-* :mod:`repro.sync.streaming` — out-of-core CLC / scan / interpolation
-  over sharded trace directories, bit-identical to the in-memory
-  kernels with the peak resident set bounded by one shard per rank.
+* :mod:`repro.sync.streaming` — out-of-core drivers of the same CLC,
+  scan and interpolation steps over sharded trace directories,
+  bit-identical to the in-memory kernels with one shard per rank
+  resident at a time.
 """
 
 from repro.sync.offset import OffsetMeasurement, cristian_offset, measurement_protocol

@@ -104,6 +104,56 @@ class ClcResult:
 _DISTORTION_FLOOR = 1.0e-6
 
 
+class _ClcStats:
+    """Running CLC statistics over ``(original, corrected)`` chunks.
+
+    Each rank's chunks come in log order, the first with ``first=True``;
+    the interval across a chunk boundary is measured like any other.
+    A whole rank is one chunk (:func:`compute_clc_stats`), a shard is
+    another (:func:`repro.sync.streaming.streaming_clc_correct`).
+    """
+
+    __slots__ = ("corrected_events", "max_shift", "distortion", "growth", "_last")
+
+    def __init__(self) -> None:
+        self.corrected_events = 0
+        self.max_shift = 0.0
+        self.distortion = 0.0
+        self.growth = 0.0
+        self._last: Optional[tuple[float, float]] = None
+
+    def add(self, original: np.ndarray, corrected: np.ndarray, first: bool) -> None:
+        shift = corrected - original
+        self.corrected_events += int(np.count_nonzero(shift > 1e-15))
+        if shift.size:
+            self.max_shift = max(self.max_shift, float(shift.max()))
+        if first:
+            self._last = None
+        if self._last is not None:
+            original = np.concatenate(([self._last[0]], original))
+            corrected = np.concatenate(([self._last[1]], corrected))
+        if original.size:
+            self._last = (original[-1], corrected[-1])
+        if original.size > 1:
+            d_orig = np.diff(original)
+            change = np.abs(np.diff(corrected) - d_orig)
+            self.growth = max(self.growth, float(change.max()))
+            rel = change / np.maximum(d_orig, _DISTORTION_FLOOR)
+            self.distortion = max(self.distortion, float(rel.max()))
+
+    def result(self, trace, total_events: int, jumps: int, max_jump: float) -> ClcResult:
+        return ClcResult(
+            trace=trace,
+            corrected_events=self.corrected_events,
+            total_events=total_events,
+            jumps=jumps,
+            max_jump=max_jump,
+            max_shift=self.max_shift,
+            interval_distortion=self.distortion,
+            max_interval_growth=self.growth,
+        )
+
+
 def compute_clc_stats(
     trace: Trace,
     original: dict[int, np.ndarray],
@@ -113,35 +163,12 @@ def compute_clc_stats(
     meta: dict,
 ) -> ClcResult:
     """Assemble a :class:`ClcResult` from before/after timestamp arrays."""
-    corrected_events = 0
-    max_shift = 0.0
-    distortion = 0.0
-    growth = 0.0
+    stats = _ClcStats()
     for rank in trace.ranks:
-        shift = corrected[rank] - original[rank]
-        corrected_events += int(np.count_nonzero(shift > 1e-15))
-        if shift.size:
-            max_shift = max(max_shift, float(shift.max()))
-        if original[rank].size > 1:
-            d_orig = np.diff(original[rank])
-            d_corr = np.diff(corrected[rank])
-            change = np.abs(d_corr - d_orig)
-            if change.size:
-                growth = max(growth, float(change.max()))
-                rel = change / np.maximum(d_orig, _DISTORTION_FLOOR)
-                distortion = max(distortion, float(rel.max()))
+        stats.add(original[rank], corrected[rank], first=True)
     out = trace.with_timestamps(corrected)
     out.meta["clc"] = meta
-    return ClcResult(
-        trace=out,
-        corrected_events=corrected_events,
-        total_events=trace.total_events(),
-        jumps=jumps_count,
-        max_jump=max_jump,
-        max_shift=max_shift,
-        interval_distortion=distortion,
-        max_interval_growth=growth,
-    )
+    return stats.result(out, trace.total_events(), jumps_count, max_jump)
 
 
 class ControlledLogicalClock:
@@ -235,7 +262,7 @@ class ControlledLogicalClock:
                 caps = schedule.split(send_caps_kernel(schedule, corr_flat, edge_lmin))
                 for rank in trace.ranks:
                     if jumps[rank]:
-                        corrected[rank] = _amortize_backward(
+                        corrected[rank], _ = _amortize_backward(
                             corrected[rank], jumps[rank], window, caps.get(rank)
                         )
 
@@ -267,7 +294,7 @@ class ControlledLogicalClock:
 
         original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
         corrected = {rank: original[rank].copy() for rank in trace.ranks}
-        jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in trace.ranks}
+        jumps: dict[int, list[tuple[int, float, float]]] = {rank: [] for rank in trace.ranks}
         max_jump = 0.0
         njumps = 0
 
@@ -289,7 +316,7 @@ class ControlledLogicalClock:
             if remote_floor > value:
                 jump = remote_floor - value
                 value = remote_floor
-                jumps[rank].append((idx, jump))
+                jumps[rank].append((idx, jump, value))
                 njumps += 1
                 if jump > max_jump:
                     max_jump = jump
@@ -303,7 +330,7 @@ class ControlledLogicalClock:
             send_caps = self._send_caps_reference(trace, deps, corrected, lmin_fn)
             for rank in trace.ranks:
                 if jumps[rank]:
-                    corrected[rank] = _amortize_backward(
+                    corrected[rank], _ = _amortize_backward(
                         corrected[rank], jumps[rank], window, send_caps.get(rank)
                     )
 
@@ -319,11 +346,12 @@ class ControlledLogicalClock:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _auto_window(jumps: "dict[int, list[tuple[int, float]]]") -> float:
+    def _auto_window(jumps: "dict[int, list[tuple]]") -> float:
+        """``50 x`` the largest jump of ``{rank: [(index, jump, ...), ...]}``."""
         biggest = 0.0
         for items in jumps.values():
-            for _, jump in items:
-                biggest = max(biggest, jump)
+            for item in items:
+                biggest = max(biggest, item[1])
         # Span the jump over a region much wider than the jump itself so
         # local interval lengths change only slightly.
         return 50.0 * biggest if biggest > 0 else 0.0
@@ -416,42 +444,60 @@ def naive_shift_correct_reference(trace: Trace, lmin: LminSpec = 0.0) -> ClcResu
 
 def _amortize_backward(
     times: np.ndarray,
-    jump_list: list[tuple[int, float]],
+    jump_list: list[tuple[int, float, float]],
     window: float,
     caps: Optional[np.ndarray],
-) -> np.ndarray:
+    lo: int = 0,
+    carry: Optional[tuple[float, float, float]] = None,
+) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Pre-spread each jump linearly over the preceding window.
 
     For a jump of size ``J`` at event ``k`` (corrected time ``T``), the
     desired advance of an earlier event at time ``t`` is
-    ``J * (1 - (T - t)/window)`` clipped to ``[0, J]``; multiple jumps
-    combine by maximum.  Caps (send constraints) and per-rank
+    ``J * (1 - (T - J - t)/window)`` clipped to ``[0, J]``; multiple
+    jumps combine by maximum.  Caps (send constraints) and per-rank
     monotonicity are enforced in a single reverse scan: processing
     events right-to-left, the advance of event ``i`` may not exceed
     ``advance(i+1) + (t(i+1) - t(i))`` (monotonicity) nor
     ``caps[i] - t(i)`` (clock condition of its own sends).
+
+    ``jump_list`` holds the rank's ``(k, J, T)`` with rank-local ``k``.
+    The pass also runs over a rank one chunk at a time, last chunk
+    first: ``times`` / ``caps`` are the chunk starting at rank-local
+    index ``lo``, and ``carry`` is what the call for the following
+    chunk returned.  Returns ``(times after amortization, carry)``; a
+    whole-rank call leaves ``lo`` and ``carry`` at their defaults.
     """
     n = times.size
-    ks = np.array([k for k, _ in jump_list], dtype=np.int64)
-    js = np.array([jump for _, jump in jump_list], dtype=np.float64)
+    if n == 0:
+        return times, carry
     # Anchor each ramp at the event's *pre-jump* time: an event just
     # before where the receive originally sat advances by (almost) the
-    # full jump, events `window` earlier don't move at all.  One
-    # (jumps, events) matrix evaluates every ramp at every event — the
-    # elementwise operations and the clip are exactly the per-jump
-    # formulation's, and max over jumps is exact, so the combined
-    # desired advance is bit-identical to folding jumps one at a time.
-    anchors = times[ks] - js
-    ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
-    np.maximum(ramp, 0.0, out=ramp)
-    np.minimum(ramp, js[:, None], out=ramp)
-    # A jump only pre-spreads over *earlier* events of its rank.
-    for row, k in enumerate(ks.tolist()):
-        ramp[row, k:] = 0.0
-    desired = ramp.max(axis=0)
-
-    if not desired.any():
-        return times
+    # full jump, events `window` earlier don't move at all.  A jump only
+    # pre-spreads over *earlier* events, and its ramp is zero wherever
+    # ``T - J - t >= window``; rows that are zero over the whole chunk
+    # are skipped (max over jumps is exact, so dropping all-zero rows
+    # changes no bit).
+    t_max = times.max()
+    rows = [(k - lo, j, t - j) for k, j, t in jump_list if k > lo and (t - j) - t_max < window]
+    if rows:
+        # One (jumps, events) matrix evaluates every ramp at every event
+        # — the elementwise operations and the clip are exactly the
+        # per-jump formulation's, so the combined desired advance is
+        # bit-identical to folding jumps one at a time.
+        ks = [k for k, _, _ in rows]
+        js = np.array([j for _, j, _ in rows], dtype=np.float64)
+        anchors = np.array([a for _, _, a in rows], dtype=np.float64)
+        ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
+        np.maximum(ramp, 0.0, out=ramp)
+        np.minimum(ramp, js[:, None], out=ramp)
+        for row, k in enumerate(ks):
+            ramp[row, k:] = 0.0
+        desired = ramp.max(axis=0)
+    if not rows or not desired.any():
+        # Nothing moves; the carry is what the full scan would hand on.
+        first = float(times[0])
+        return times, (0.0, first, first)
 
     allowed = desired
     if caps is not None:
@@ -461,10 +507,14 @@ def _amortize_backward(
     # gap to the next event (which itself might be the jump event with
     # advance 0 — the ramp is anchored there by construction).  The scan
     # is inherently sequential; it runs on plain lists because Python
-    # float arithmetic is the same IEEE double as numpy scalars.
+    # float arithmetic is the same IEEE double as numpy scalars.  The
+    # next chunk's first (advance, time, output) ride at the list ends.
     tl = times.tolist()
     al = allowed.tolist()
-    for i in range(n - 2, -1, -1):
+    if carry is not None:
+        al.append(carry[0])
+        tl.append(carry[1])
+    for i in range(len(al) - 2, -1, -1):
         limit = al[i + 1] + (tl[i + 1] - tl[i])
         if al[i] > limit:
             al[i] = limit
@@ -474,7 +524,7 @@ def _amortize_backward(
             # advance must never turn into a retreat — that would move
             # a receive below send + l_min and re-violate Eq. 1.
             al[i] = 0.0
-    out = times + np.asarray(al, dtype=np.float64)
+    out = times + np.asarray(al[:n], dtype=np.float64)
     if caps is not None:
         # ``times + (caps - times)`` can round one ulp above ``caps``;
         # clamp exactly so verifiers using strict comparison stay happy
@@ -486,10 +536,12 @@ def _amortize_backward(
     # summed values; the ``>= t[i]`` guard leaves a non-monotone
     # recorded log as-is instead of dragging events backward.
     ol = out.tolist()
-    for i in range(n - 2, -1, -1):
+    if carry is not None:
+        ol.append(carry[2])
+    for i in range(len(ol) - 2, -1, -1):
         if ol[i] > ol[i + 1] >= tl[i]:
             ol[i] = ol[i + 1]
-    return np.asarray(ol, dtype=np.float64)
+    return np.asarray(ol[:n], dtype=np.float64), (al[0], tl[0], ol[0])
 
 
 def _lmin_callable(lmin: LminSpec):

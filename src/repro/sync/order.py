@@ -24,11 +24,42 @@ import numpy as np
 
 from repro.errors import SynchronizationError
 from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, EventType
-from repro.tracing.trace import Trace
+from repro.tracing.trace import CollectiveRecord, Trace
 
-__all__ = ["EventRef", "build_dependencies", "replay_schedule"]
+__all__ = [
+    "EventRef",
+    "build_dependencies",
+    "collective_senders",
+    "collective_shape",
+    "replay_schedule",
+]
 
 EventRef = tuple[int, int]  # (rank, index into that rank's log)
+
+
+def collective_shape(rec: CollectiveRecord) -> tuple[CollectiveFlavor, int]:
+    """``rec``'s flavor and its root's position in ``rec.ranks`` (-1 for N-to-N)."""
+    flavor = COLLECTIVE_FLAVORS[rec.op]
+    if flavor is CollectiveFlavor.N_TO_N:
+        return flavor, -1
+    return flavor, int(np.nonzero(rec.ranks == rec.root)[0][0])
+
+
+def collective_senders(
+    flavor: CollectiveFlavor, root_pos: int, n: int, i: int
+) -> list[int]:
+    """Member positions whose enter constrains member ``i``'s exit.
+
+    Positions index the instance's ``n`` ascending member ranks; see
+    :func:`collective_shape` for ``flavor`` and ``root_pos``.
+    """
+    if flavor is CollectiveFlavor.ONE_TO_N:
+        return [root_pos] if i != root_pos else []
+    if flavor is CollectiveFlavor.N_TO_ONE:
+        return [j for j in range(n) if j != i] if i == root_pos else []
+    if flavor is CollectiveFlavor.PREFIX:
+        return list(range(i))  # lower ranks only (MPI_Scan)
+    return [j for j in range(n) if j != i]
 
 
 def build_dependencies(
@@ -44,30 +75,17 @@ def build_dependencies(
 
     if include_collectives:
         for rec in trace.collectives():
-            flavor = COLLECTIVE_FLAVORS[rec.op]
-            ranks = rec.ranks
-            n = ranks.size
+            n = rec.ranks.size
             if n < 2:
                 continue
-            root_pos = (
-                int(np.nonzero(ranks == rec.root)[0][0])
-                if flavor is not CollectiveFlavor.N_TO_N
-                else -1
-            )
+            flavor, root_pos = collective_shape(rec)
             for i in range(n):
-                if flavor is CollectiveFlavor.ONE_TO_N:
-                    senders = [root_pos] if i != root_pos else []
-                elif flavor is CollectiveFlavor.N_TO_ONE:
-                    senders = [j for j in range(n) if j != i] if i == root_pos else []
-                elif flavor is CollectiveFlavor.PREFIX:
-                    senders = list(range(i))  # lower ranks only (MPI_Scan)
-                else:
-                    senders = [j for j in range(n) if j != i]
+                senders = collective_senders(flavor, root_pos, n, i)
                 if not senders:
                     continue
-                ref = (int(ranks[i]), int(rec.exit_idx[i]))
+                ref = (int(rec.ranks[i]), int(rec.exit_idx[i]))
                 deps.setdefault(ref, []).extend(
-                    (int(ranks[j]), int(rec.enter_idx[j])) for j in senders
+                    (int(rec.ranks[j]), int(rec.enter_idx[j])) for j in senders
                 )
     return deps
 

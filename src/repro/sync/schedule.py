@@ -420,20 +420,73 @@ def _spont_positions(
     ]
 
 
+def run_tail(corr: list, origl: list, gdl: list | None, i: int, stop: int) -> int:
+    """Continue a running glide at list index ``i`` (up to ``stop``).
+
+    Sets ``corr[i] = corr[i-1] + gdl[i]`` (the naive shift, ``gdl``
+    None: ``corr[i-1]``) while that exceeds ``origl[i]``; returns the
+    index where the glide has decayed onto the original timeline.
+    """
+    if gdl is None:
+        while i < stop:
+            follow = corr[i - 1]
+            if follow > origl[i]:
+                corr[i] = follow
+                i += 1
+            else:
+                break
+        return i
+    while i < stop:
+        follow = corr[i - 1] + gdl[i]
+        if follow > origl[i]:
+            corr[i] = follow
+            i += 1
+        else:
+            break
+    return i
+
+
+def do_stretch(
+    corr: list, origl: list, gdl: list | None, spont: list[int], k: int,
+    cur: int, stop: int, first: int,
+) -> int:
+    """Run the local recurrence over the dependency-free span ``[cur, stop)``.
+
+    ``first`` is the list index of the rank's first event (it has no
+    predecessor) and ``spont[k:]`` the rank's unvisited spontaneous
+    positions, ascending.  Only a glide running into the span and the
+    spontaneous positions are evaluated; every other event keeps its
+    original value exactly.  Returns the advanced ``k``.
+    """
+    if cur >= stop:
+        return k
+    if cur > first and corr[cur - 1] > origl[cur - 1]:
+        cur = run_tail(corr, origl, gdl, cur, stop)
+    nsp = len(spont)
+    while k < nsp and spont[k] < stop:
+        s = spont[k]
+        k += 1
+        if s < cur:
+            continue
+        corr[s] = corr[s - 1] + gdl[s] if gdl is not None else corr[s - 1]
+        cur = run_tail(corr, origl, gdl, s + 1, stop)
+    return k
+
+
 def clc_forward(
     schedule: CompiledSchedule,
     orig_flat: np.ndarray,
     edge_lmin: np.ndarray,
     gamma: float | None,
-) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float]:
+) -> tuple[np.ndarray, dict[int, list[tuple[int, float, float]]], int, float]:
     """Forward pass of the CLC (``gamma`` set) or naive shift (``None``).
 
     Returns ``(corrected_flat, jumps, njumps, max_jump)`` with ``jumps``
-    mapping each rank to its ``(local index, jump size)`` list —
-    bit-identical to the scalar reference loop.
+    mapping each rank to its ``(local index, jump size, corrected time)``
+    list — bit-identical to the scalar reference loop.
     """
     n = orig_flat.size
-    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in schedule.ranks}
+    jumps: dict[int, list[tuple[int, float, float]]] = {rank: [] for rank in schedule.ranks}
     if n == 0:
         return orig_flat.copy(), jumps, 0, 0.0
 
@@ -464,47 +517,6 @@ def clc_forward(
     njumps = 0
     max_jump = 0.0
 
-    if gamma is None:
-
-        def run_tail(i: int, stop: int) -> int:
-            while i < stop:
-                follow = corr[i - 1]
-                if follow > origl[i]:
-                    corr[i] = follow
-                    i += 1
-                else:
-                    break
-            return i
-
-    else:
-
-        def run_tail(i: int, stop: int) -> int:
-            while i < stop:
-                follow = corr[i - 1] + gdl[i]
-                if follow > origl[i]:
-                    corr[i] = follow
-                    i += 1
-                else:
-                    break
-            return i
-
-    def do_stretch(cur: int, stop: int, rk_start: int, rp: int) -> None:
-        if cur >= stop:
-            return
-        if cur > rk_start and corr[cur - 1] > origl[cur - 1]:
-            cur = run_tail(cur, stop)
-        sp = spont[rp]
-        k = spont_ptr[rp]
-        nsp = len(sp)
-        while k < nsp and sp[k] < stop:
-            s = sp[k]
-            k += 1
-            if s < cur:
-                continue
-            corr[s] = corr[s - 1] + gdl[s] if gdl is not None else corr[s - 1]
-            cur = run_tail(s + 1, stop)
-        spont_ptr[rp] = k
-
     # Steps visit dep events 0..D-1 in ascending order, so one running
     # pointer walks the exec edge arrays without per-event indptr reads.
     eptr = 0
@@ -515,7 +527,9 @@ def clc_forward(
         for di in range(dep_lo, dep_hi):
             p = dep_gids[di]
             if p > cur:
-                do_stretch(cur, p, rk_start, rp)
+                spont_ptr[rp] = do_stretch(
+                    corr, origl, gdl, spont[rp], spont_ptr[rp], cur, p, rk_start
+                )
             value = origl[p]
             if p > rk_start:
                 follow = corr[p - 1] + gdl[p] if gdl is not None else corr[p - 1]
@@ -531,13 +545,15 @@ def clc_forward(
             if remote_floor > value:
                 jump = remote_floor - value
                 value = remote_floor
-                jlist.append((p - rk_start, jump))
+                jlist.append((p - rk_start, jump, value))
                 njumps += 1
                 if jump > max_jump:
                     max_jump = jump
             corr[p] = value
             cur = p + 1
-        do_stretch(cur, b, rk_start, rp)
+        spont_ptr[rp] = do_stretch(
+            corr, origl, gdl, spont[rp], spont_ptr[rp], cur, b, rk_start
+        )
 
     return np.asarray(corr, dtype=np.float64), jumps, njumps, max_jump
 

@@ -1,35 +1,47 @@
-"""Bounded-memory streaming CLC and violation scans over sharded traces.
+"""Out-of-core drivers for the CLC, the violation scan and interpolation.
 
 The in-memory kernels of :mod:`repro.sync.clc` and
-:mod:`repro.sync.violations` require the whole trace (and its
-:class:`~repro.sync.schedule.CompiledSchedule`) resident in RAM.  The
-functions here reproduce them **bit-identically** over a
-:class:`~repro.tracing.store.ChunkedTrace` while keeping the peak
-resident set at O(one shard per rank + carried boundary state):
+:mod:`repro.sync.violations` hold the whole trace (and its
+:class:`~repro.sync.schedule.CompiledSchedule`) in RAM.  The functions
+here drive the **same algorithm steps** over a
+:class:`~repro.tracing.store.ChunkedTrace`, one shard per rank resident
+at a time, and reproduce the in-memory results bit for bit.  Each step
+exists once, in its in-memory module:
 
-* :func:`streaming_clc_correct` — the controlled logical clock.  The
-  forward pass runs each rank's scalar recurrence (exactly the
-  reference/kernel formulation, including the gamma-compressed
-  follow-up rule and spontaneous-stretch positions) shard by shard,
-  round-robin across ranks; a rank blocks when it reaches a receive
-  whose matching send or a collective exit whose member enters have not
-  been published yet.  Send caps spill to per-shard bucket files; the
-  backward amortization is a single reverse pass over each flagged
-  rank's shards with three scalar carries (the next shard's first
-  advance, timestamp, and re-clamped output).  Statistics accumulate
-  with boundary carries, and the corrected trace is written back out as
-  a sharded store.
+* collective pairing — :func:`repro.tracing.trace.pair_collectives`;
+* collective flavor to senders —
+  :func:`repro.sync.order.collective_senders`;
+* the forward pass's local recurrence —
+  :func:`repro.sync.schedule.do_stretch` / ``run_tail``;
+* backward amortization (with a carry across chunk boundaries), the
+  auto window and the CLC statistics — ``_amortize_backward``,
+  ``ControlledLogicalClock._auto_window`` and ``_ClcStats`` of
+  :mod:`repro.sync.clc`.
+
+This module keeps only what exists because the trace is on disk: shard
+I/O, the round-robin cross-rank scheduler of the forward pass (a rank
+blocks at a receive whose matching send, or a collective exit whose
+constraining enters, are not published yet), the values carried across
+shard boundaries, the spill of send caps to per-shard bucket files,
+point-to-point stream matching for the scan, and per-shard
+interpolation.
+
+* :func:`streaming_clc_correct` — the controlled logical clock, written
+  back out as a sharded store;
 * :func:`streaming_scan_trace` — Eq. 1 violation scan.  Point-to-point
   matching streams with the same id/FIFO semantics as
   :meth:`Trace.messages(strict=False) <repro.tracing.trace.Trace.messages>`
-  (unmatched ends dropped); collective instances accumulate and are
-  expanded through the in-memory logical-message mapping.
+  (unmatched ends dropped); collective instances are paired and
+  expanded through the in-memory logical-message mapping;
 * :func:`streaming_apply_correction` — per-shard offset interpolation.
 
-Boundary-state requirements: every receive's matching send must come
-from the rank named in its source field, and match ids must be unique.
-Simulator-written traces guarantee both.  A dependency cycle (corrupt
-trace) stalls every rank and raises
+Memory beyond the resident shards: one record per collective member
+(never one per flavor-expanded edge), the forward jumps, published
+values not yet consumed, and at most ``_CAPS_BUDGET`` buffered send
+caps.  Boundary-state requirements: every receive's matching send must
+come from the rank named in its source field, and match ids must be
+unique.  Simulator-written traces guarantee both.  A dependency cycle
+(corrupt trace) stalls every rank and raises
 :class:`~repro.errors.SynchronizationError`, mirroring the in-memory
 replay.  The ``streamed_matches_inmemory`` oracle in
 :mod:`repro.verify.oracles` enforces the bit-identity contract.
@@ -45,19 +57,22 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import SynchronizationError, TraceError
-from repro.sync.clc import ClcResult, ControlledLogicalClock
+from repro.errors import SynchronizationError
+from repro.sync.clc import (
+    ClcResult,
+    ControlledLogicalClock,
+    _amortize_backward,
+    _ClcStats,
+    _lmin_callable,
+)
 from repro.sync.collectives_map import logical_messages
+from repro.sync.order import collective_senders, collective_shape
+from repro.sync.schedule import do_stretch
 from repro.sync.violations import LminSpec, ViolationReport, scan_messages
 from repro.telemetry import ensure_telemetry
-from repro.tracing.events import (
-    COLLECTIVE_FLAVORS,
-    CollectiveFlavor,
-    CollectiveOp,
-    EventType,
-)
+from repro.tracing.events import EventType
 from repro.tracing.store import ChunkedTrace, ShardedTraceReader, ShardedTraceWriter
-from repro.tracing.trace import CollectiveRecord, CollectiveTable
+from repro.tracing.trace import CollectiveTable, pair_collectives
 
 __all__ = [
     "streaming_clc_correct",
@@ -72,27 +87,8 @@ _CEXIT = int(EventType.COLL_EXIT)
 
 #: Caps spill records: rank-local event index + cap value.
 _CAPS_DTYPE = np.dtype([("i", "<i8"), ("v", "<f8")])
-#: In-memory cap records buffered per bucket before hitting disk.
-_CAPS_BUFFER = 4096
-
-
-def _pair_lmin(lmin: LminSpec):
-    """Scalar ``l_min(src, dst)`` with per-pair memoization of callables."""
-    if callable(lmin):
-        cache: dict[tuple[int, int], float] = {}
-
-        def fn(s: int, d: int) -> float:
-            key = (s, d)
-            v = cache.get(key)
-            if v is None:
-                v = cache[key] = float(lmin(s, d))
-            return v
-
-        return fn
-    if isinstance(lmin, np.ndarray):
-        return lambda s, d: float(lmin[s, d])
-    value = float(lmin)
-    return lambda s, d: value
+#: Events whose send cap may sit in memory at once, over all buckets.
+_CAPS_BUDGET = 1 << 15
 
 
 def _source_is_chunked(source) -> ChunkedTrace:
@@ -113,21 +109,16 @@ def _id_mode(reader: ShardedTraceReader) -> bool:
 
 
 class _Resident:
-    """Peak-resident-events accounting shared by all streaming passes."""
+    """Resident-events accounting shared by all streaming passes."""
 
-    __slots__ = ("tele", "cur", "peak", "shards_read")
+    __slots__ = ("tele", "cur")
 
     def __init__(self, tele) -> None:
         self.tele = tele
         self.cur = 0
-        self.peak = 0
-        self.shards_read = 0
 
     def load(self, events: int) -> None:
         self.cur += events
-        self.shards_read += 1
-        if self.cur > self.peak:
-            self.peak = self.cur
         if self.tele.enabled:
             self.tele.count("sync.stream.shards_read")
             self.tele.gauge_max("sync.clc.peak_resident_events", self.cur)
@@ -136,192 +127,128 @@ class _Resident:
         self.cur -= events
 
 
-# ----------------------------------------------------------------------
-# Collective pre-scan
-# ----------------------------------------------------------------------
-def _accumulate_collectives(chunked: ChunkedTrace, resident: Optional[_Resident] = None):
-    """One streaming pass collecting per-rank collective enter/exit info.
-
-    Replicates ``Trace._extract_collectives`` exactly: for each rank all
-    ``COLL_ENTER`` records land in a last-wins dict first, then exits
-    pop in log order — including its duplicate-enter overwrite and
-    error semantics.  Returns ``{inst: {rank: [enter_ts, exit_ts,
-    enter_idx, exit_idx, op, root]}}``.
-    """
-    enters: dict[int, dict[int, tuple[int, float]]] = {}
-    exits: dict[int, list[tuple[int, float, int, int, int]]] = {}
+def _stream_shards(chunked: ChunkedTrace, resident: _Resident):
+    """``(rank, first index, columns)`` of every shard, rank by rank."""
     for rank in chunked.ranks:
-        enters[rank] = {}
-        exits[rank] = []
         for rec, cols in chunked.iter_shards(rank):
-            ts, et, a, b, _, d = cols
-            if resident is not None:
-                resident.load(rec.events)
-            sel = np.nonzero(et == _CENT)[0]
-            for i in sel:
-                enters[rank][int(d[i])] = (rec.start + int(i), float(ts[i]))
-            sel = np.nonzero(et == _CEXIT)[0]
-            for i in sel:
-                exits[rank].append(
-                    (rec.start + int(i), float(ts[i]), int(d[i]), int(a[i]), int(b[i]))
-                )
-            if resident is not None:
-                resident.release(rec.events)
-    per_instance: dict[int, dict[int, list]] = {}
-    for rank in chunked.ranks:
-        open_by_instance = dict(enters[rank])
-        for idx, ts_val, inst, op, root in exits[rank]:
-            if inst not in open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                )
-            e_idx, e_ts = open_by_instance.pop(inst)
-            entry = per_instance.setdefault(inst, {})
-            entry[rank] = [e_ts, ts_val, e_idx, idx, op, root]
-        if open_by_instance:
-            raise TraceError(
-                f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-            )
-    return per_instance
+            resident.load(rec.events)
+            yield rank, rec.start, cols
+            resident.release(rec.events)
 
 
-def _collective_table(per_instance) -> CollectiveTable:
-    """Assemble a :class:`CollectiveTable` exactly as the in-memory path."""
-    records = []
-    for inst in sorted(per_instance):
-        members = per_instance[inst]
-        ranks = np.array(sorted(members), dtype=np.int64)
-        records.append(
-            CollectiveRecord(
-                instance=inst,
-                op=CollectiveOp(members[int(ranks[0])][4]),
-                root=members[int(ranks[0])][5],
-                ranks=ranks,
-                enter_ts=np.array([members[r][0] for r in ranks], dtype=np.float64),
-                exit_ts=np.array([members[r][1] for r in ranks], dtype=np.float64),
-                enter_idx=np.array([members[r][2] for r in ranks], dtype=np.int64),
-                exit_idx=np.array([members[r][3] for r in ranks], dtype=np.int64),
-            )
-        )
-    return CollectiveTable(records)
+# ----------------------------------------------------------------------
+# Collective stops and publications
+# ----------------------------------------------------------------------
+def _collective_plan(table: CollectiveTable):
+    """Where the streaming forward stops and publishes for collectives.
 
-
-def _collective_deps(per_instance):
-    """Flavor-expanded collective dependencies for the streaming forward.
-
-    Returns ``(publish, exit_deps, consumers)``:
-
-    * ``publish[rank]`` — ``{local enter idx: instance}`` for enters some
-      other rank's exit depends on;
-    * ``exit_deps[rank]`` — ``{local exit idx: [(member rank, instance),
-      ...]}`` in the same sender order as ``build_dependencies``;
-    * ``consumers[(instance, rank)]`` — number of exits reading that
-      publication (for cleanup).
+    Returns ``(exits, enters)``: ``exits[rank]`` maps the log index of
+    an exit that some member's enter constrains to ``(shape, position)``
+    with ``shape = (instance, member ranks, flavor, root position)``;
+    ``enters[rank]`` maps the log index of a constraining enter to
+    ``(instance, number of exits reading it)``.  One entry per member:
+    an exit's senders are derived from its instance when the forward
+    reaches it.
     """
-    publish: dict[int, dict[int, int]] = {}
-    exit_deps: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    consumers: dict[tuple[int, int], int] = {}
-    for inst in sorted(per_instance):
-        members = per_instance[inst]
-        ranks = sorted(members)
-        n = len(ranks)
+    exits: dict[int, dict[int, tuple]] = {}
+    enters: dict[int, dict[int, tuple[int, int]]] = {}
+    for rec in table:
+        n = rec.ranks.size
         if n < 2:
             continue
-        op = CollectiveOp(members[ranks[0]][4])
-        root = members[ranks[0]][5]
-        flavor = COLLECTIVE_FLAVORS[op]
-        root_pos = -1
-        if flavor is not CollectiveFlavor.N_TO_N:
-            for j, r in enumerate(ranks):
-                if r == root:
-                    root_pos = j
-                    break
+        flavor, root_pos = collective_shape(rec)
+        ranks = rec.ranks.tolist()
+        shape = (rec.instance, ranks, flavor, root_pos)
+        readers = [0] * n
         for i in range(n):
-            if flavor is CollectiveFlavor.ONE_TO_N:
-                senders = [root_pos] if i != root_pos else []
-            elif flavor is CollectiveFlavor.N_TO_ONE:
-                senders = [j for j in range(n) if j != i] if i == root_pos else []
-            elif flavor is CollectiveFlavor.PREFIX:
-                senders = list(range(i))
-            else:
-                senders = [j for j in range(n) if j != i]
-            if not senders:
-                continue
-            rank_i = ranks[i]
-            deps = [(ranks[j], inst) for j in senders]
-            exit_deps.setdefault(rank_i, {})[members[rank_i][3]] = deps
-            for j in senders:
-                rank_j = ranks[j]
-                publish.setdefault(rank_j, {})[members[rank_j][2]] = inst
-                consumers[(inst, rank_j)] = consumers.get((inst, rank_j), 0) + 1
-    return publish, exit_deps, consumers
+            senders = collective_senders(flavor, root_pos, n, i)
+            if senders:
+                exits.setdefault(ranks[i], {})[int(rec.exit_idx[i])] = (shape, i)
+                for j in senders:
+                    readers[j] += 1
+        for j, count in enumerate(readers):
+            if count:
+                enters.setdefault(ranks[j], {})[int(rec.enter_idx[j])] = (
+                    rec.instance, count,
+                )
+    return exits, enters
 
 
 # ----------------------------------------------------------------------
 # Caps spill
 # ----------------------------------------------------------------------
 class _CapsSpill:
-    """Per-(rank, shard) bucket files of ``(event index, cap)`` records."""
+    """Per-event send caps in per-(rank, shard) bucket files.
+
+    A bucket keeps one cap per event, the minimum of those offered (min
+    is exact and order-free, so combining early changes no bit).  When
+    ``_CAPS_BUDGET`` events are buffered over all buckets, every bucket
+    is appended to its file and the buffers start over.
+    """
 
     def __init__(self, tmpdir: Path, shard_starts: dict[int, list[int]]) -> None:
         self.tmpdir = tmpdir
         self.starts = shard_starts
-        self.buffers: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        self.buffers: dict[tuple[int, int], dict[int, float]] = {}
+        self.buffered = 0
 
     def _path(self, rank: int, ordinal: int) -> Path:
         return self.tmpdir / f"caps_r{rank}_s{ordinal}.bin"
 
     def add(self, rank: int, idx: int, val: float) -> None:
-        ordinal = bisect_right(self.starts[rank], idx) - 1
-        key = (rank, ordinal)
-        buf = self.buffers.setdefault(key, [])
-        buf.append((idx, val))
-        if len(buf) >= _CAPS_BUFFER:
-            self._flush(key)
-
-    def _flush(self, key: tuple[int, int]) -> None:
+        key = (rank, bisect_right(self.starts[rank], idx) - 1)
         buf = self.buffers.get(key)
-        if not buf:
-            return
-        arr = np.array(buf, dtype=_CAPS_DTYPE)
-        with self._path(*key).open("ab") as fh:
-            fh.write(arr.tobytes())
-        buf.clear()
+        if buf is None:
+            buf = self.buffers[key] = {}
+        old = buf.get(idx)
+        if old is None:
+            buf[idx] = val
+            self.buffered += 1
+            if self.buffered >= _CAPS_BUDGET:
+                self._spill()
+        elif val < old:
+            buf[idx] = val
 
-    def load(self, rank: int, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (rank, ordinal)
-        parts = []
+    def _spill(self) -> None:
+        for key, buf in self.buffers.items():
+            arr = np.array(list(buf.items()), dtype=_CAPS_DTYPE)
+            with self._path(*key).open("ab") as fh:
+                fh.write(arr.tobytes())
+        self.buffers.clear()
+        self.buffered = 0
+
+    def load(self, rank: int, ordinal: int, lo: int, n: int) -> np.ndarray:
+        """Dense caps of one shard (``inf`` where an event has none)."""
+        caps = np.full(n, np.inf, dtype=np.float64)
         path = self._path(rank, ordinal)
         if path.exists():
-            parts.append(np.frombuffer(path.read_bytes(), dtype=_CAPS_DTYPE))
-        buf = self.buffers.get(key)
+            arr = np.frombuffer(path.read_bytes(), dtype=_CAPS_DTYPE)
+            np.minimum.at(caps, arr["i"] - lo, arr["v"])
+        buf = self.buffers.get((rank, ordinal))
         if buf:
-            parts.append(np.array(buf, dtype=_CAPS_DTYPE))
-        if not parts:
-            empty = np.empty(0, dtype=_CAPS_DTYPE)
-            return empty["i"], empty["v"]
-        arr = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return arr["i"].astype(np.int64, copy=False), arr["v"].astype(np.float64, copy=False)
+            arr = np.array(list(buf.items()), dtype=_CAPS_DTYPE)
+            np.minimum.at(caps, arr["i"] - lo, arr["v"])
+        return caps
 
 
 # ----------------------------------------------------------------------
 # Streaming forward pass
 # ----------------------------------------------------------------------
 class _RankForward:
-    """One rank's scalar CLC recurrence, advanced shard by shard.
+    """One rank's CLC recurrence, advanced shard by shard.
 
     The per-shard working lists carry a one-slot prefix holding the
     previous shard's last original/corrected value, so the recurrence
-    indexes ``corr[q - 1]`` uniformly across shard boundaries.  The
-    stretch/spontaneous-position logic is the kernel's ``do_stretch`` /
-    ``run_tail`` verbatim; splitting a stretch at a shard or publication
-    boundary is bit-identical because the resume condition
-    (``corr[prev] > orig[prev]``) recovers exactly the kernel's running
-    tail state.
+    indexes ``corr[q - 1]`` uniformly across shard boundaries and
+    :func:`~repro.sync.schedule.do_stretch` runs on them unchanged (the
+    rank's first event sits at list index ``1 - lo``).  Splitting a
+    stretch at a shard or publication boundary is bit-identical because
+    the resume condition (``corr[prev] > orig[prev]``) recovers exactly
+    the kernel's running tail state.
     """
 
     __slots__ = (
-        "rank", "recs", "reader", "gamma", "si", "rec", "cols",
+        "rank", "recs", "reader", "gamma", "si", "cols",
         "lo", "n_s", "origl", "corr", "gdl", "spont", "sp_ptr",
         "stops", "stop_ptr", "pubs", "pub_ptr", "cur",
         "prev_orig", "prev_corr", "finished", "jumps", "resident",
@@ -344,37 +271,30 @@ class _RankForward:
         self.fwd_paths: list[Path] = []
 
     # -- shard management ------------------------------------------------
-    def load_next(self, publish, exit_deps) -> None:
+    def load_next(self, coll_exits, coll_enters) -> None:
         self.si += 1
         rec = self.recs[self.si]
-        self.rec = rec
         cols = self.reader.load_shard(rec)
         self.cols = cols
         self.resident.load(rec.events)
         ts = np.asarray(cols[0], dtype=np.float64)
-        n = rec.events
         self.lo = rec.start
-        self.n_s = n
-        self.origl = [self.prev_orig] + ts.tolist()
+        self.n_s = rec.events
+        # List index q holds event lo + q - 1; index 0 is the carried prefix.
+        orig = np.concatenate(([self.prev_orig], ts))
+        gd = self.gamma * np.diff(orig)
+        self.origl = orig.tolist()
         self.corr = [self.prev_corr] + ts.tolist()
-        gd = np.empty(n, dtype=np.float64)
-        if n:
-            gd[0] = self.gamma * (ts[0] - self.prev_orig)
-            if n > 1:
-                gd[1:] = self.gamma * (ts[1:] - ts[:-1])
         self.gdl = [0.0] + gd.tolist()
-        prev = np.empty(n, dtype=np.float64)
-        if n:
-            prev[0] = self.prev_orig
-            prev[1:] = ts[:-1]
-        mask = (prev + gd) > ts
-        if self.lo == 0 and n:
-            mask[0] = False
+        # Spontaneous positions, as ``_spont_positions`` finds them.
+        mask = (orig[:-1] + gd) > ts
+        if self.lo == 0:
+            mask[:1] = False  # the rank's first event has no predecessor
         self.spont = (np.nonzero(mask)[0] + 1).tolist()
         self.sp_ptr = 0
         et = cols[1]
-        my_pub = publish.get(self.rank, {})
-        my_exits = exit_deps.get(self.rank, {})
+        my_exits = coll_exits.get(self.rank, {})
+        my_enters = coll_enters.get(self.rank, {})
         stops = []  # (list index, code): 0 = recv, 1 = constrained coll exit
         pubs = []   # list indices of sends and constraining enters
         for i in np.nonzero(et == _RECV)[0]:
@@ -385,7 +305,7 @@ class _RankForward:
         for i in np.nonzero(et == _SEND)[0]:
             pubs.append(int(i) + 1)
         for i in np.nonzero(et == _CENT)[0]:
-            if self.lo + int(i) in my_pub:
+            if self.lo + int(i) in my_enters:
                 pubs.append(int(i) + 1)
         stops.sort()
         pubs.sort()
@@ -394,6 +314,14 @@ class _RankForward:
         self.pubs = pubs
         self.pub_ptr = 0
         self.cur = 1
+
+    def stretch_to(self, stop: int) -> None:
+        """The dependency-free recurrence up to list index ``stop``."""
+        self.sp_ptr = do_stretch(
+            self.corr, self.origl, self.gdl, self.spont, self.sp_ptr,
+            self.cur, stop, 1 - self.lo,
+        )
+        self.cur = stop
 
     def flush_shard(self) -> None:
         path = self.tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
@@ -407,44 +335,10 @@ class _RankForward:
         if self.si + 1 >= len(self.recs):
             self.finished = True
 
-    # -- the kernel's stretch logic, on shifted per-shard lists ---------
-    def _run_tail(self, i: int, stop: int) -> int:
-        corr = self.corr
-        origl = self.origl
-        gdl = self.gdl
-        while i < stop:
-            follow = corr[i - 1] + gdl[i]
-            if follow > origl[i]:
-                corr[i] = follow
-                i += 1
-            else:
-                break
-        return i
-
-    def _do_stretch(self, cur: int, stop: int) -> None:
-        if cur >= stop:
-            return
-        corr = self.corr
-        origl = self.origl
-        if (self.lo + cur - 1) > 0 and corr[cur - 1] > origl[cur - 1]:
-            cur = self._run_tail(cur, stop)
-        sp = self.spont
-        k = self.sp_ptr
-        nsp = len(sp)
-        gdl = self.gdl
-        while k < nsp and sp[k] < stop:
-            s = sp[k]
-            k += 1
-            if s < cur:
-                continue
-            corr[s] = corr[s - 1] + gdl[s]
-            cur = self._run_tail(s + 1, stop)
-        self.sp_ptr = k
-
 
 def _forward_pass(
-    chunked, reader, gamma, lmin_fn, id_mode, publish, exit_deps,
-    consumers, caps, tmpdir, resident,
+    chunked, reader, gamma, lmin_fn, id_mode, coll_exits, coll_enters,
+    caps, tmpdir, resident,
 ):
     """Round-robin streaming forward pass over every rank's shards.
 
@@ -456,7 +350,8 @@ def _forward_pass(
               for r in ranks}
     pending_sends: dict[int, tuple[float, int, int]] = {}  # mid -> (corr, rank, idx)
     fifo_sends: dict[tuple[int, int, int], deque] = {}     # (src, dst, tag) -> deque
-    coll_pubs: dict[tuple[int, int], tuple[float, int]] = {}  # (inst, rank) -> (corr, idx)
+    # (inst, rank) -> [corr, idx, exits still to read it]
+    coll_pubs: dict[tuple[int, int], list] = {}
     njumps = 0
     max_jump = 0.0
 
@@ -466,7 +361,7 @@ def _forward_pass(
         k = st.pub_ptr
         npub = len(pubs)
         cols = st.cols
-        my_pub = publish.get(st.rank, {})
+        my_enters = coll_enters.get(st.rank, {})
         while k < npub and pubs[k] < st.cur:
             q = pubs[k]
             k += 1
@@ -480,7 +375,8 @@ def _forward_pass(
                     key = (st.rank, int(cols[2][i]), int(cols[3][i]))
                     fifo_sends.setdefault(key, deque()).append((value, gidx))
             else:
-                coll_pubs[(my_pub[gidx], st.rank)] = (value, gidx)
+                inst, readers = my_enters[gidx]
+                coll_pubs[(inst, st.rank)] = [value, gidx, readers]
         st.pub_ptr = k
 
     def resolve_recv(st: _RankForward, i: int):
@@ -500,11 +396,29 @@ def _forward_pass(
         key = (int(cols[2][i]), st.rank, int(cols[3][i]))
         q = fifo_sends.get(key)
         if q:
-            return q.popleft() + (key[0],)  # (corr, idx, src)
+            s_corr, s_idx = q.popleft()
+            return s_corr, key[0], s_idx
         src = key[0]
         if src not in states or states[src].finished:
             return None
         return "block"
+
+    def collective_edges(st: _RankForward, gidx: int):
+        """The exit's constraining enters, or ``None`` if one is unpublished."""
+        (inst, members, flavor, root_pos), pos = coll_exits[st.rank][gidx]
+        edges = []
+        for j in collective_senders(flavor, root_pos, len(members), pos):
+            pub = coll_pubs.get((inst, members[j]))
+            if pub is None:
+                return None
+            edges.append((pub[0], members[j], pub[1]))
+        for _, m_rank, _ in edges:
+            key = (inst, m_rank)
+            pub = coll_pubs[key]
+            pub[2] -= 1
+            if pub[2] == 0:
+                del coll_pubs[key]
+        return edges
 
     def advance(st: _RankForward) -> bool:
         nonlocal njumps, max_jump
@@ -512,9 +426,8 @@ def _forward_pass(
         if st.cols is None:
             if st.finished:
                 return False
-            st.load_next(publish, exit_deps)
+            st.load_next(coll_exits, coll_enters)
             progress = True
-        my_exits = exit_deps.get(st.rank, {})
         while True:
             if st.cur > st.n_s:
                 publish_upto(st)
@@ -523,8 +436,7 @@ def _forward_pass(
             while st.stop_ptr < len(st.stops) and st.stops[st.stop_ptr][0] < st.cur:
                 st.stop_ptr += 1
             if st.stop_ptr >= len(st.stops):
-                st._do_stretch(st.cur, st.n_s + 1)
-                st.cur = st.n_s + 1
+                st.stretch_to(st.n_s + 1)
                 publish_upto(st)
                 progress = True
                 continue
@@ -535,8 +447,7 @@ def _forward_pass(
             # passes over BEFORE resolving the stop's own dependency —
             # a peer may be blocked waiting for exactly those values.
             if st.cur < q:
-                st._do_stretch(st.cur, q)
-                st.cur = q
+                st.stretch_to(q)
                 publish_upto(st)
                 progress = True
             # Gather this event's dependency edges (or block).
@@ -545,32 +456,12 @@ def _forward_pass(
                 if edge == "block":
                     publish_upto(st)
                     return progress
-                if edge is None:
-                    edges = []
-                else:
-                    if id_mode:
-                        s_corr, s_rank, s_idx = edge
-                    else:
-                        s_corr, s_idx, s_rank = edge
-                    edges = [(s_corr, s_rank, s_idx)]
+                edges = [] if edge is None else [edge]
             else:
-                needed = my_exits[gidx]
-                edges = []
-                blocked = False
-                for m_rank, inst in needed:
-                    pub = coll_pubs.get((inst, m_rank))
-                    if pub is None:
-                        blocked = True
-                        break
-                    edges.append((pub[0], m_rank, pub[1]))
-                if blocked:
+                edges = collective_edges(st, gidx)
+                if edges is None:
                     publish_upto(st)
                     return progress
-                for m_rank, inst in needed:
-                    key = (inst, m_rank)
-                    consumers[key] -= 1
-                    if consumers[key] == 0:
-                        del coll_pubs[key]
             # The kernel's dependency-event update.
             value = st.origl[q]
             if gidx > 0:
@@ -626,75 +517,6 @@ def _forward_pass(
 
 
 # ----------------------------------------------------------------------
-# Streaming backward amortization
-# ----------------------------------------------------------------------
-def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident) -> None:
-    """Single reverse pass over one rank's forward temp files.
-
-    Reproduces ``_amortize_backward`` exactly: the desired-advance ramps
-    fold per shard (rows whose jump lies at or below the shard are
-    all-zero and skipped), and the two reverse scalar scans cross shard
-    boundaries through three carried values.  The early all-zero-desired
-    return of the in-memory code is skipped — with ``desired`` all zero
-    every subsequent step is the identity under ``==`` comparison.
-    """
-    jumps = st.jumps
-    recs = st.recs
-    al_carry: Optional[tuple[float, float]] = None  # (al[first], t[first]) of later shard
-    ol_carry: Optional[float] = None  # re-clamped out[first] of later shard
-    for si in range(len(recs) - 1, -1, -1):
-        rec = recs[si]
-        lo, n_s = rec.start, rec.events
-        times = np.load(st.fwd_paths[si])
-        resident.load(n_s)
-        desired = np.zeros(n_s, dtype=np.float64)
-        for k, j, v in jumps:
-            if k <= lo:
-                continue
-            anchor = v - j
-            ramp = j * (1.0 - (anchor - times) / window)
-            np.maximum(ramp, 0.0, out=ramp)
-            np.minimum(ramp, j, out=ramp)
-            if k < lo + n_s:
-                ramp[k - lo:] = 0.0
-            np.maximum(desired, ramp, out=desired)
-        allowed = desired
-        caps_shard = np.full(n_s, np.inf, dtype=np.float64)
-        idx, vals = caps.load(st.rank, si)
-        if idx.size:
-            np.minimum.at(caps_shard, idx - lo, vals)
-        headroom = caps_shard - times
-        np.minimum(allowed, np.maximum(headroom, 0.0), out=allowed)
-        tl = times.tolist()
-        al = allowed.tolist()
-        if al_carry is not None:
-            limit = al_carry[0] + (al_carry[1] - tl[n_s - 1])
-            if al[n_s - 1] > limit:
-                al[n_s - 1] = limit
-            if al[n_s - 1] < 0.0:
-                al[n_s - 1] = 0.0
-        for i in range(n_s - 2, -1, -1):
-            limit = al[i + 1] + (tl[i + 1] - tl[i])
-            if al[i] > limit:
-                al[i] = limit
-            if al[i] < 0.0:
-                al[i] = 0.0
-        out = times + np.asarray(al, dtype=np.float64)
-        np.minimum(out, np.maximum(caps_shard, times), out=out)
-        ol = out.tolist()
-        if ol_carry is not None:
-            if ol[n_s - 1] > ol_carry >= tl[n_s - 1]:
-                ol[n_s - 1] = ol_carry
-        for i in range(n_s - 2, -1, -1):
-            if ol[i] > ol[i + 1] >= tl[i]:
-                ol[i] = ol[i + 1]
-        al_carry = (al[0], tl[0])
-        ol_carry = ol[0]
-        np.save(st.fwd_paths[si], np.asarray(ol, dtype=np.float64))
-        resident.release(n_s)
-
-
-# ----------------------------------------------------------------------
 # Entry point: streaming CLC
 # ----------------------------------------------------------------------
 def streaming_clc_correct(
@@ -711,11 +533,12 @@ def streaming_clc_correct(
 
     Bit-identical to
     :meth:`ControlledLogicalClock.correct <repro.sync.clc.ControlledLogicalClock.correct>`
-    on the materialized trace (same ``gamma`` / window / lmin), with the
-    peak resident set bounded by one shard per rank plus carried
-    boundary state.  The returned :class:`~repro.sync.clc.ClcResult`
-    carries a :class:`~repro.tracing.store.ChunkedTrace` over
-    ``out_dir``.
+    on the materialized trace (same ``gamma`` / window / lmin), with one
+    shard per rank resident at a time.  Records the in-memory CLC's
+    ``sync.clc.forward`` / ``sync.clc.amortize`` spans plus
+    ``sync.stream.prescan`` and ``sync.stream.finalize``.  The returned
+    :class:`~repro.sync.clc.ClcResult` carries a
+    :class:`~repro.tracing.store.ChunkedTrace` over ``out_dir``.
     """
     # Parameter validation shared with the in-memory corrector.
     ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
@@ -723,26 +546,27 @@ def streaming_clc_correct(
     reader = chunked.reader
     tele = ensure_telemetry(telemetry)
     resident = _Resident(tele)
-    lmin_fn = _pair_lmin(lmin)
+    lmin_fn = _lmin_callable(lmin)
     id_mode = _id_mode(reader)
     out_dir = Path(out_dir)
+    ranks = chunked.ranks
 
     with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
         tmpdir = Path(tmp)
         with tele.span("sync.stream.prescan"):
-            if include_collectives:
-                per_instance = _accumulate_collectives(chunked, resident)
-                publish, exit_deps, consumers = _collective_deps(per_instance)
-            else:
-                publish, exit_deps, consumers = {}, {}, {}
-        shard_starts = {
-            r: [rec.start for rec in reader.rank_shards(r)] for r in chunked.ranks
-        }
+            table = (
+                pair_collectives(_stream_shards(chunked, resident))
+                if include_collectives
+                else CollectiveTable([])
+            )
+            coll_exits, coll_enters = _collective_plan(table)
+            del table
+        shard_starts = {r: [rec.start for rec in reader.rank_shards(r)] for r in ranks}
         caps = _CapsSpill(tmpdir, shard_starts)
-        with tele.span("sync.stream.forward", events=chunked.total_events()):
+        with tele.span("sync.clc.forward", events=chunked.total_events()):
             states, njumps, max_jump = _forward_pass(
-                chunked, reader, gamma, lmin_fn, id_mode, publish, exit_deps,
-                consumers, caps, tmpdir, resident,
+                chunked, reader, gamma, lmin_fn, id_mode, coll_exits, coll_enters,
+                caps, tmpdir, resident,
             )
         if tele.enabled:
             tele.count("sync.clc.events", chunked.total_events())
@@ -750,18 +574,32 @@ def streaming_clc_correct(
 
         window = amortization_window
         if window is None:
-            window = 50.0 * max_jump if max_jump > 0 else 0.0
+            window = ControlledLogicalClock._auto_window(
+                {r: states[r].jumps for r in ranks}
+            )
         if window > 0:
-            with tele.span("sync.stream.amortize", window=window):
-                for rank in chunked.ranks:
-                    if states[rank].jumps:
-                        _backward_pass(states[rank], window, caps, resident)
+            with tele.span("sync.clc.amortize", window=window):
+                for rank in ranks:
+                    st = states[rank]
+                    if not st.jumps:
+                        continue
+                    # Last shard first; the carry links each shard to the next.
+                    carry = None
+                    for si in range(len(st.recs) - 1, -1, -1):
+                        rec = st.recs[si]
+                        resident.load(rec.events)
+                        times = np.load(st.fwd_paths[si])
+                        out, carry = _amortize_backward(
+                            times, st.jumps, window,
+                            caps.load(rank, si, rec.start, rec.events),
+                            lo=rec.start, carry=carry,
+                        )
+                        if out is not times:
+                            np.save(st.fwd_paths[si], out)
+                        resident.release(rec.events)
 
-        # Finalize: statistics with boundary carries + sharded output.
-        corrected_events = 0
-        max_shift = 0.0
-        distortion = 0.0
-        growth = 0.0
+        # Finalize: statistics and the sharded output.
+        stats = _ClcStats()
         out_meta = dict(chunked.meta)
         out_meta["clc"] = {"gamma": gamma, "window": window, "jumps": njumps}
         writer = ShardedTraceWriter(
@@ -770,52 +608,21 @@ def streaming_clc_correct(
             run_id=reader.run_id or "clc",
         )
         with tele.span("sync.stream.finalize"), writer:
-            for rank in chunked.ranks:
+            for rank in ranks:
                 writer.register_rank(rank)
-                st = states[rank]
-                prev_orig_last = prev_corr_last = None
+                fwd_paths = states[rank].fwd_paths
                 for si, (rec, cols) in enumerate(chunked.iter_shards(rank)):
                     resident.load(rec.events)
-                    orig = np.asarray(cols[0], dtype=np.float64)
-                    corr = np.load(st.fwd_paths[si])
-                    shift = corr - orig
-                    corrected_events += int(np.count_nonzero(shift > 1e-15))
-                    if shift.size:
-                        max_shift = max(max_shift, float(shift.max()))
-                    if prev_orig_last is not None and rec.events:
-                        d_o = orig[0] - prev_orig_last
-                        d_c = corr[0] - prev_corr_last
-                        change = abs(d_c - d_o)
-                        growth = max(growth, float(change))
-                        distortion = max(distortion, float(change / max(d_o, 1.0e-6)))
-                    if rec.events > 1:
-                        d_orig = np.diff(orig)
-                        change = np.abs(np.diff(corr) - d_orig)
-                        growth = max(growth, float(change.max()))
-                        rel = change / np.maximum(d_orig, 1.0e-6)
-                        distortion = max(distortion, float(rel.max()))
-                    if rec.events:
-                        prev_orig_last = orig[-1]
-                        prev_corr_last = corr[-1]
-                    writer.append_batch(
-                        rank, corr, cols[1], cols[2], cols[3], cols[4], cols[5]
-                    )
+                    corr = np.load(fwd_paths[si])
+                    stats.add(np.asarray(cols[0], dtype=np.float64), corr, first=si == 0)
+                    writer.append_batch(rank, corr, *cols[1:])
                     resident.release(rec.events)
             writer.finish(meta=out_meta)
         if tele.enabled:
             tele.count("sync.stream.shards_written", writer._seq)
 
     out = ChunkedTrace(ShardedTraceReader(out_dir))
-    return ClcResult(
-        trace=out,
-        corrected_events=corrected_events,
-        total_events=chunked.total_events(),
-        jumps=njumps,
-        max_jump=max_jump,
-        max_shift=max_shift,
-        interval_distortion=distortion,
-        max_interval_growth=growth,
-    )
+    return stats.result(out, chunked.total_events(), njumps, max_jump)
 
 
 # ----------------------------------------------------------------------
@@ -838,7 +645,7 @@ def streaming_scan_trace(
     reader = chunked.reader
     tele = ensure_telemetry(telemetry)
     resident = _Resident(tele)
-    lmin_fn = _pair_lmin(lmin)
+    lmin_fn = _lmin_callable(lmin)
     id_mode = _id_mode(reader)
     ranks = chunked.ranks
 
@@ -850,8 +657,6 @@ def streaming_scan_trace(
     unmatched: dict[int, list[int]] = {r: [] for r in ranks}
     violators: list[tuple[int, int]] = []  # (dst rank, recv ordinal in rank)
     worst = 0.0
-    enters: dict[int, dict[int, tuple[int, float]]] = {r: {} for r in ranks}
-    exits: dict[int, list[tuple[int, float, int, int, int]]] = {r: [] for r in ranks}
 
     def emit(sts: float, src: int, rts: float, dst: int, r_ord: int) -> None:
         nonlocal worst
@@ -861,73 +666,72 @@ def streaming_scan_trace(
             if -slack > worst:
                 worst = -slack
 
+    def match_p2p(rank: int, cols) -> None:
+        ts, et, a, b, _, d = cols
+        et_arr = np.asarray(et)
+        r_ord = recv_seen[rank]
+        for i in np.nonzero((et_arr == _SEND) | (et_arr == _RECV))[0]:
+            t_i = float(ts[i])
+            if int(et_arr[i]) == _SEND:
+                if id_mode:
+                    mid = int(d[i])
+                    hit = pending_recvs.pop(mid, None)
+                    if hit is not None:
+                        emit(t_i, rank, hit[0], hit[1], hit[2])
+                    else:
+                        pending_sends[mid] = (t_i, rank)
+                else:
+                    key = (rank, int(a[i]), int(b[i]))
+                    parked = fifo_parked.get(key)
+                    if parked:
+                        rts, ro = parked.popleft()
+                        emit(t_i, rank, rts, key[1], ro)
+                    else:
+                        fifo_sends.setdefault(key, deque()).append(t_i)
+                continue
+            if id_mode:
+                mid = int(d[i])
+                if mid < 0:
+                    unmatched[rank].append(r_ord)
+                else:
+                    hit = pending_sends.pop(mid, None)
+                    if hit is not None:
+                        emit(hit[0], hit[1], t_i, rank, r_ord)
+                    else:
+                        pending_recvs[mid] = (t_i, rank, r_ord)
+            else:
+                key = (int(a[i]), rank, int(b[i]))
+                q = fifo_sends.get(key)
+                parked = fifo_parked.get(key)
+                if q and not parked:
+                    emit(q.popleft(), key[0], t_i, rank, r_ord)
+                else:
+                    fifo_parked.setdefault(key, deque()).append((t_i, r_ord))
+            r_ord += 1
+        recv_seen[rank] = r_ord
+
     per_rank = {r: reader.rank_shards(r) for r in ranks}
     max_shards = max((len(v) for v in per_rank.values()), default=0)
-    with tele.span("sync.stream.scan", events=chunked.total_events()):
+
+    def shards():
+        """Every shard, round-robin over ranks, after its p2p matching."""
         for si in range(max_shards):
             for rank in ranks:
                 if si >= len(per_rank[rank]):
                     continue
                 rec = per_rank[rank][si]
-                ts, et, a, b, _, d = reader.load_shard(rec)
+                cols = reader.load_shard(rec)
                 resident.load(rec.events)
-                et_arr = np.asarray(et)
-                msg_pos = np.nonzero(
-                    (et_arr == _SEND) | (et_arr == _RECV)
-                    | (et_arr == _CENT) | (et_arr == _CEXIT)
-                )[0]
-                r_ord = recv_seen[rank]
-                for i in msg_pos:
-                    code = int(et_arr[i])
-                    if code == _SEND:
-                        t_i = float(ts[i])
-                        if id_mode:
-                            mid = int(d[i])
-                            hit = pending_recvs.pop(mid, None)
-                            if hit is not None:
-                                emit(t_i, rank, hit[0], hit[1], hit[2])
-                            else:
-                                pending_sends[mid] = (t_i, rank)
-                        else:
-                            key = (rank, int(a[i]), int(b[i]))
-                            parked = fifo_parked.get(key)
-                            if parked:
-                                rts, ro = parked.popleft()
-                                emit(t_i, rank, rts, key[1], ro)
-                            else:
-                                fifo_sends.setdefault(key, deque()).append(t_i)
-                    elif code == _RECV:
-                        t_i = float(ts[i])
-                        if id_mode:
-                            mid = int(d[i])
-                            if mid < 0:
-                                unmatched[rank].append(r_ord)
-                            else:
-                                hit = pending_sends.pop(mid, None)
-                                if hit is not None:
-                                    emit(hit[0], hit[1], t_i, rank, r_ord)
-                                else:
-                                    pending_recvs[mid] = (t_i, rank, r_ord)
-                        else:
-                            key = (int(a[i]), rank, int(b[i]))
-                            q = fifo_sends.get(key)
-                            parked = fifo_parked.get(key)
-                            if q and not parked:
-                                emit(q.popleft(), key[0], t_i, rank, r_ord)
-                            else:
-                                fifo_parked.setdefault(key, deque()).append((t_i, r_ord))
-                        r_ord += 1
-                    elif code == _CENT:
-                        if include_collectives:
-                            enters[rank][int(d[i])] = (rec.start + int(i), float(ts[i]))
-                    else:
-                        if include_collectives:
-                            exits[rank].append(
-                                (rec.start + int(i), float(ts[i]), int(d[i]),
-                                 int(a[i]), int(b[i]))
-                            )
-                recv_seen[rank] = r_ord
+                match_p2p(rank, cols)
+                yield rank, rec.start, cols
                 resident.release(rec.events)
+
+    with tele.span("sync.stream.scan", events=chunked.total_events()):
+        if include_collectives:
+            collectives = pair_collectives(shards())
+        else:
+            for _ in shards():
+                pass
 
     # Leftover pending receives are unmatched (strict=False semantics).
     for mid, (_, rank, r_ord) in pending_recvs.items():
@@ -954,22 +758,7 @@ def streaming_scan_trace(
     )
     out = {"p2p": p2p}
     if include_collectives:
-        per_instance: dict[int, dict[int, list]] = {}
-        for rank in ranks:
-            open_by_instance = dict(enters[rank])
-            for idx, ts_val, inst, op, root in exits[rank]:
-                if inst not in open_by_instance:
-                    raise TraceError(
-                        f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                    )
-                e_idx, e_ts = open_by_instance.pop(inst)
-                per_instance.setdefault(inst, {})[rank] = [e_ts, ts_val, e_idx, idx, op, root]
-            if open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-                )
-        logical = logical_messages(_collective_table(per_instance))
-        report = scan_messages(logical, lmin)
+        report = scan_messages(logical_messages(collectives), lmin)
         out["collective"] = ViolationReport(
             "collective", report.checked, report.violated, report.indices, report.worst
         )

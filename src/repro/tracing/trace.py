@@ -21,14 +21,24 @@ files).  Both paths are tested to agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import MatchingError, TraceError
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 
-__all__ = ["Trace", "MessageRecord", "MessageTable", "CollectiveRecord", "CollectiveTable"]
+__all__ = [
+    "Trace",
+    "MessageRecord",
+    "MessageTable",
+    "CollectiveRecord",
+    "CollectiveTable",
+    "pair_collectives",
+]
+
+_COLL_ENTER = int(EventType.COLL_ENTER)
+_COLL_EXIT = int(EventType.COLL_EXIT)
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,70 @@ class CollectiveTable:
 
     def __getitem__(self, i: int) -> CollectiveRecord:
         return self.records[i]
+
+
+def pair_collectives(
+    chunks: Iterable[tuple[int, int, tuple[np.ndarray, ...]]],
+) -> CollectiveTable:
+    """Pair each rank's ``COLL_ENTER`` / ``COLL_EXIT`` records by instance.
+
+    ``chunks`` yields ``(rank, first log index, (ts, etypes, a, b, c, d))``
+    column blocks: a whole log, or one shard of it.  Each rank's blocks
+    come in log order; different ranks may interleave.  Per rank, every
+    enter is registered first (a repeated instance id keeps the last
+    one), then the exits close their instances in log order.  An exit
+    without an enter, or an enter left open, raises :class:`TraceError`.
+    """
+    enters: dict[int, dict[int, tuple[int, float]]] = {}
+    exits: dict[int, list[tuple[int, float, int, int, int]]] = {}
+    for rank, start, (ts, et, a, b, _, d) in chunks:
+        rank_enters = enters.setdefault(rank, {})
+        rank_exits = exits.setdefault(rank, [])
+        sel = np.nonzero(et == _COLL_ENTER)[0]
+        if sel.size:
+            rank_enters.update(
+                zip(d[sel].tolist(), zip((sel + start).tolist(), ts[sel].tolist()))
+            )
+        sel = np.nonzero(et == _COLL_EXIT)[0]
+        if sel.size:
+            rank_exits.extend(zip(
+                (sel + start).tolist(), ts[sel].tolist(), d[sel].tolist(),
+                a[sel].tolist(), b[sel].tolist(),
+            ))
+
+    # instance -> {rank: (enter_ts, exit_ts, enter_idx, exit_idx, op, root)}
+    per_instance: dict[int, dict[int, tuple]] = {}
+    for rank in sorted(enters):
+        open_by_instance = enters[rank]
+        for idx, exit_ts, inst, op, root in exits[rank]:
+            if inst not in open_by_instance:
+                raise TraceError(
+                    f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
+                )
+            e_idx, e_ts = open_by_instance.pop(inst)
+            per_instance.setdefault(inst, {})[rank] = (e_ts, exit_ts, e_idx, idx, op, root)
+        if open_by_instance:
+            raise TraceError(
+                f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
+            )
+    records = []
+    for inst in sorted(per_instance):
+        members = per_instance[inst]
+        ranks = sorted(members)
+        rows = [members[r] for r in ranks]
+        records.append(
+            CollectiveRecord(
+                instance=inst,
+                op=CollectiveOp(rows[0][4]),
+                root=rows[0][5],
+                ranks=np.array(ranks, dtype=np.int64),
+                enter_ts=np.array([row[0] for row in rows], dtype=np.float64),
+                exit_ts=np.array([row[1] for row in rows], dtype=np.float64),
+                enter_idx=np.array([row[2] for row in rows], dtype=np.int64),
+                exit_idx=np.array([row[3] for row in rows], dtype=np.int64),
+            )
+        )
+    return CollectiveTable(records)
 
 
 class Trace:
@@ -359,60 +433,10 @@ class Trace:
         return self._collectives
 
     def _extract_collectives(self) -> CollectiveTable:
-        # instance -> {rank: (enter_ts, exit_ts, enter_idx, exit_idx, op, root)}
-        per_instance: dict[int, dict[int, list]] = {}
-        for rank in self.ranks:
-            log = self.logs[rank]
-            ts = log.timestamps
-            enters = log.select(EventType.COLL_ENTER)
-            exits = log.select(EventType.COLL_EXIT)
-            open_by_instance: dict[int, int] = {}
-            for i in enters:
-                inst = int(log.d[i])
-                open_by_instance[inst] = int(i)
-            for i in exits:
-                inst = int(log.d[i])
-                if inst not in open_by_instance:
-                    raise TraceError(
-                        f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                    )
-                e_idx = open_by_instance.pop(inst)
-                entry = per_instance.setdefault(inst, {})
-                entry[rank] = [
-                    float(ts[e_idx]),
-                    float(ts[i]),
-                    e_idx,
-                    int(i),
-                    int(log.a[i]),
-                    int(log.b[i]),
-                ]
-            if open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-                )
-        records = []
-        for inst in sorted(per_instance):
-            members = per_instance[inst]
-            ranks = np.array(sorted(members), dtype=np.int64)
-            enter_ts = np.array([members[r][0] for r in ranks], dtype=np.float64)
-            exit_ts = np.array([members[r][1] for r in ranks], dtype=np.float64)
-            enter_idx = np.array([members[r][2] for r in ranks], dtype=np.int64)
-            exit_idx = np.array([members[r][3] for r in ranks], dtype=np.int64)
-            op = CollectiveOp(members[int(ranks[0])][4])
-            root = members[int(ranks[0])][5]
-            records.append(
-                CollectiveRecord(
-                    instance=inst,
-                    op=op,
-                    root=root,
-                    ranks=ranks,
-                    enter_ts=enter_ts,
-                    exit_ts=exit_ts,
-                    enter_idx=enter_idx,
-                    exit_idx=exit_idx,
-                )
-            )
-        return CollectiveTable(records)
+        return pair_collectives(
+            (rank, 0, (log.timestamps, log.etypes, log.a, log.b, log.c, log.d))
+            for rank, log in sorted(self.logs.items())
+        )
 
     # ------------------------------------------------------------------
     def slice(self, t0: float, t1: float) -> "Trace":

@@ -489,13 +489,17 @@ def assert_streamed_matches_inmemory(
 
     Writes ``trace`` into a shard directory at the given grain, then
     demands the streaming CLC reproduce the in-memory correction
-    (timestamps, every statistic, the ``clc`` meta record) and the
+    (timestamps, every statistic, the ``clc`` meta record), the
     streaming violation scan reproduce :func:`scan_trace` (checked /
     violated counts, violation indices in message-table order, worst
-    magnitude).
+    magnitude), and :func:`~repro.core.correct.correct_trace` on the
+    shard directory reproduce it on the trace (timestamps, stage
+    counts, CLC statistics and record) — ``linear`` interpolation when
+    the trace carries its offset measurements, ``none`` otherwise.
     """
     import dataclasses
 
+    from repro.core.correct import correct_trace
     from repro.sync.streaming import streaming_clc_correct, streaming_scan_trace
     from repro.tracing.store import write_sharded_trace
 
@@ -537,6 +541,36 @@ def assert_streamed_matches_inmemory(
                 np.array_equal(a.indices, b.indices),
                 f"streaming scan[{kind}] violation indices differ",
             )
+
+        measured = {"init_offsets", "final_offsets"} <= trace.meta.keys()
+        knobs = dict(
+            interpolation="linear" if measured else "none",
+            gamma=gamma, amortization_window=window, lmin=lmin,
+        )
+        ref_f = correct_trace(trace, **knobs)
+        got_f = correct_trace(src, output=Path(td) / "facade", **knobs)
+        context = f"streamed correct_trace(shard_events={shard_events}, {knobs})"
+        materialized = got_f.trace.materialize()
+        assert_traces_identical(
+            ref_f.clc, dataclasses.replace(got_f.clc, trace=materialized), context=context
+        )
+        _require(
+            materialized.meta.get("clc") == ref_f.trace.meta.get("clc"),
+            f"{context}: clc meta {materialized.meta.get('clc')} "
+            f"vs {ref_f.trace.meta.get('clc')}",
+        )
+
+        def counts(stages):
+            return [
+                (s.stage, s.p2p.checked, s.p2p.violated, s.p2p.worst,
+                 s.collective.checked, s.collective.violated, s.collective.worst)
+                for s in stages
+            ]
+
+        _require(
+            counts(got_f.stages) == counts(ref_f.stages),
+            f"{context}: stages {counts(got_f.stages)} vs {counts(ref_f.stages)}",
+        )
 
 
 @oracle(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.tracing.reader import read_trace
+from repro.tracing.writer import write_trace
 
 
 @pytest.fixture
@@ -47,6 +48,25 @@ class TestScan:
         out = capsys.readouterr().out
         assert "violations" in out
         assert rc in (0, 1)
+
+    @pytest.mark.parametrize("suffix", [".npz", ".jsonl"])
+    def test_decodes_the_trace_once(
+        self, sparse_trace_file, tmp_path, monkeypatch, capsys, suffix
+    ):
+        import repro.tracing.reader as reader
+
+        path = sparse_trace_file
+        if suffix == ".jsonl":
+            path = write_trace(read_trace(sparse_trace_file), tmp_path / "trace.jsonl")
+        decodes = []
+        for name in ("_read_npz", "_read_jsonl"):
+            real = getattr(reader, name)
+            monkeypatch.setattr(
+                reader, name, lambda p, real=real: decodes.append(p) or real(p)
+            )
+        assert main(["scan", str(path)]) in (0, 1)
+        assert f"{path}: 4 ranks" in capsys.readouterr().out
+        assert decodes == [path]
 
 
 class TestSync:
